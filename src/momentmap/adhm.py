@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConsistencyError, SolverError, ValidationError
 from .linalg import as_complex_matrix, hermitian_basis, sup_norm
 from .quiver import Arrow, Quiver, matrix_from_json, matrix_to_json
-from .solver import SolveOptions
+from .solver import ARMIJO_C, BACKTRACK, SolveOptions
 
 __all__ = [
     "ADHMData",
@@ -136,8 +136,9 @@ def build_adhm_quiver(k: int) -> Quiver:
     return Quiver(("1", "2"), tuple(arrows))
 
 
-def _moments(d: ADHMData, eta: float):
-    al, be, a, b = d.alpha, d.beta, d.a, d.b
+def _moments(mats, eta: float):
+    """Both moment maps of the blocks ``mats = [alpha, beta, a, b]``."""
+    al, be, a, b = mats
     mu_c = al @ be - be @ al + a @ b
     mu_r = (
         al.conj().T @ al
@@ -146,7 +147,7 @@ def _moments(d: ADHMData, eta: float):
         - be @ be.conj().T
         + b.conj().T @ b
         - a @ a.conj().T
-        - eta * np.eye(d.N)
+        - eta * np.eye(al.shape[0])
     )
     return mu_c, mu_r
 
@@ -164,7 +165,7 @@ def adhm_residuals(d: ADHMData, eta: float) -> ADHMResiduals:
     eta = float(eta)
     if not np.isfinite(eta):
         raise ValidationError("eta must be finite")
-    mu_c, mu_r = _moments(d, eta)
+    mu_c, mu_r = _moments([d.alpha, d.beta, d.a, d.b], eta)
 
     herm_defect = sup_norm(mu_r - mu_r.conj().T)
     if herm_defect > 1e-12 * max(1.0, sup_norm(mu_r)):
@@ -188,19 +189,19 @@ def adhm_residuals(d: ADHMData, eta: float) -> ADHMResiduals:
     )
 
 
-def _objective(d: ADHMData, eta: float):
-    mu_c, mu_r = _moments(d, eta)
+def _objective(mats, eta: float):
+    mu_c, mu_r = _moments(mats, eta)
     value = float(np.sum(np.abs(mu_c) ** 2) + np.sum(np.abs(mu_r) ** 2))
     return value, mu_c, mu_r
 
 
-def _gradients(d: ADHMData, mu_c: np.ndarray, mu_r: np.ndarray):
+def _gradients(mats, mu_c: np.ndarray, mu_r: np.ndarray):
     """Conjugate-coordinate gradients of the merged objective.
 
     The first-order expansion is ``df = 2 Re sum tr(G_x^dagger dx)`` over the
     four matrix blocks, so ``-G`` is the steepest-descent direction.
     """
-    al, be, a, b = d.alpha, d.beta, d.a, d.b
+    al, be, a, b = mats
     g_al = (mu_c @ be.conj().T - be.conj().T @ mu_c) + 2.0 * (al @ mu_r - mu_r @ al)
     g_be = (al.conj().T @ mu_c - mu_c @ al.conj().T) + 2.0 * (be @ mu_r - mu_r @ be)
     g_a = mu_c @ b.conj().T - 2.0 * mu_r @ a
@@ -215,8 +216,9 @@ def _pack(mats) -> np.ndarray:
 def _solve_once(
     N: int, k: int, eta: float, rng: np.random.Generator, opts: SolveOptions
 ):
-    """One gradient-descent run from a random start; returns
-    ``(data, residuals)`` on success, or ``(None, best)`` on stall."""
+    """One gradient-descent run from a random start on the raw blocks
+    ``[alpha, beta, a, b]``; returns ``(data, residuals)`` on success, or
+    ``(None, best)`` on stall.  Only the returned solution is validated."""
 
     def rand(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -229,12 +231,8 @@ def _solve_once(
         0.5 * scale * rand((k, N)),
     ]
 
-    def data_of(ms):
-        return ADHMData(N, k, ms[0], ms[1], ms[2], ms[3])
-
-    d = data_of(mats)
-    value, mu_c, mu_r = _objective(d, eta)
-    grads = _gradients(d, mu_c, mu_r)
+    value, mu_c, mu_r = _objective(mats, eta)
+    grads = _gradients(mats, mu_c, mu_r)
     best = (sup_norm(mu_c), sup_norm(mu_r))
     prev_mats = prev_grads = None
 
@@ -243,7 +241,8 @@ def _solve_once(
         if max(sup_c, sup_r) < max(best):
             best = (sup_c, sup_r)
         if sup_c <= opts.tol and sup_r <= opts.tol:
-            return data_of(mats), adhm_residuals(data_of(mats), eta)
+            d = ADHMData(N, k, *mats)
+            return d, adhm_residuals(d, eta)
 
         gnorm2 = float(sum(np.sum(np.abs(g) ** 2) for g in grads))
         if gnorm2 == 0.0:
@@ -263,17 +262,16 @@ def _solve_once(
         accepted = None
         while alpha > 1e-18:
             trial = [m - alpha * g for m, g in zip(mats, grads)]
-            t_value, t_mu_c, t_mu_r = _objective(data_of(trial), eta)
-            if np.isfinite(t_value) and t_value <= value + opts.armijo_c * alpha * deriv:
+            t_value, t_mu_c, t_mu_r = _objective(trial, eta)
+            if np.isfinite(t_value) and t_value <= value + ARMIJO_C * alpha * deriv:
                 accepted = (trial, t_value, t_mu_c, t_mu_r)
                 break
-            alpha *= opts.backtrack
+            alpha *= BACKTRACK
         if accepted is None:
             break
         prev_mats, prev_grads = mats, grads
         mats, value, mu_c, mu_r = accepted
-        d = data_of(mats)
-        grads = _gradients(d, mu_c, mu_r)
+        grads = _gradients(mats, mu_c, mu_r)
     return None, best
 
 

@@ -114,7 +114,7 @@ def _read_input(path: str) -> bytes:
 
 
 def _solve_options(args) -> SolveOptions:
-    return SolveOptions(tol=args.tol, max_iters=args.max_iters, seed=args.seed)
+    return SolveOptions(tol=args.tol, max_iters=args.max_iters)
 
 
 def _write_result(args, result: dict) -> None:

@@ -135,7 +135,11 @@ def hermitian_exp(s, tol: float = DEFAULT_TOL) -> np.ndarray:
     NumericError
         If the eigendecomposition fails to converge or the result overflows.
     """
-    h = as_hermitian(s, tol=tol, name="exponent")
+    return _hermitian_exp(as_hermitian(s, tol=tol, name="exponent"))
+
+
+def _hermitian_exp(h: np.ndarray) -> np.ndarray:
+    """Unchecked kernel of :func:`hermitian_exp`; ``h`` must be Hermitian."""
     if h.shape[0] == 0:
         return h
     try:
@@ -146,7 +150,7 @@ def hermitian_exp(s, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not np.all(np.isfinite(ew)):
         raise NumericError("matrix exponential overflowed")
     out = (u * ew) @ u.conj().T
-    return hermitian_part(out)
+    return 0.5 * (out + out.conj().T)
 
 
 def hermitian_log(h, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -219,6 +223,12 @@ def frechet_exp(s, x) -> np.ndarray:
         raise ValidationError(
             f"frechet_exp: shape mismatch {hs.shape} vs {hx.shape}"
         )
+    return _frechet_exp(hs, hx)
+
+
+def _frechet_exp(hs: np.ndarray, hx: np.ndarray) -> np.ndarray:
+    """Unchecked kernel of :func:`frechet_exp`; ``hs`` and ``hx`` must be
+    Hermitian of one shape."""
     if hs.shape[0] == 0:
         return hs
     w, u = np.linalg.eigh(hs)
@@ -226,7 +236,8 @@ def frechet_exp(s, x) -> np.ndarray:
     avg = 0.5 * (w[:, None] + w[None, :])
     kernel = np.exp(avg) * _sinch(0.5 * diff)
     xt = u.conj().T @ hx @ u
-    return hermitian_part(u @ (kernel * xt) @ u.conj().T)
+    out = u @ (kernel * xt) @ u.conj().T
+    return 0.5 * (out + out.conj().T)
 
 
 def hermitian_basis(n: int) -> list[np.ndarray]:

@@ -31,11 +31,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
+    _frechet_exp,
+    _hermitian_exp,
     as_complex_matrix,
     as_hermitian,
-    hermitian_exp,
-    hermitian_part,
-    metric_adjoint,
+    hermitian_exp,  # unused here but stays importable from this module
     sup_norm,
 )
 from .quiver import Quiver, Representation, validate_eta
@@ -153,14 +153,19 @@ def king_residual(
     w = _weights(q, kahler)
     eta = validate_eta(q, eta)
     metric = _check_vertex_family(rep, metric, "metric")
-    h = {}
+    h = {v: as_hermitian(metric[v], name=f"metric[{v!r}]") for v in q.vertices}
+    return _king_residual(rep, h, eta, w)
+
+
+def _king_residual(rep, h, eta, w) -> MomentResidual:
+    """Unchecked kernel of :func:`king_residual`: ``h`` holds Hermitian blocks
+    of the right sizes, ``eta`` and the weights ``w`` are validated."""
+    q = rep.quiver
     for v in q.vertices:
-        m = as_hermitian(metric[v], name=f"metric[{v!r}]")
         # Strict positivity only: metrics produced by exp(s) can be extremely
         # ill-conditioned along near-divergent flows yet remain valid inputs.
-        if m.size and np.linalg.eigvalsh(m)[0] <= 0:
+        if h[v].size and np.linalg.eigvalsh(h[v])[0] <= 0:
             raise ValidationError(f"metric[{v!r}]: not positive-definite")
-        h[v] = m
 
     blocks = {
         v: -eta[v] * np.eye(rep.dims[v], dtype=np.complex128) for v in q.vertices
@@ -169,7 +174,7 @@ def king_residual(
         t = rep.matrices[a.name]
         if t.size == 0:
             continue
-        adj = metric_adjoint(t, h[a.src], h[a.dst])
+        adj = np.linalg.solve(h[a.src], t.conj().T @ h[a.dst])
         blocks[a.src] = blocks[a.src] + w[a.name] * (adj @ t)
         blocks[a.dst] = blocks[a.dst] - w[a.name] * (t @ adj)
     sup = max((sup_norm(b) for b in blocks.values()), default=0.0)
@@ -196,9 +201,15 @@ def kempf_ness_value(
     q = rep.quiver
     w = _weights(q, kahler)
     eta = validate_eta(q, eta)
-    s = _check_displacement(rep, s)
-    half_pos = {v: hermitian_exp(0.5 * s[v]) for v in q.vertices}
-    half_neg = {v: hermitian_exp(-0.5 * s[v]) for v in q.vertices}
+    return _kempf_ness_value(rep, _check_displacement(rep, s), eta, w)
+
+
+def _kempf_ness_value(rep, s, eta, w) -> float:
+    """Unchecked kernel of :func:`kempf_ness_value`: ``s`` holds Hermitian
+    blocks of the right sizes, ``eta`` and the weights ``w`` are validated."""
+    q = rep.quiver
+    half_pos = {v: _hermitian_exp(0.5 * s[v]) for v in q.vertices}
+    half_neg = {v: _hermitian_exp(-0.5 * s[v]) for v in q.vertices}
     total = 0.0
     for a in q.arrows:
         t = rep.matrices[a.name]
@@ -229,14 +240,18 @@ def kempf_ness_gradient(
     exponential.  ``G_v = 0`` for all v exactly when the residual of
     :func:`king_residual` vanishes at ``h = exp(s)``.
     """
-    from .linalg import frechet_exp
-
     q = rep.quiver
     w = _weights(q, kahler)
     eta = validate_eta(q, eta)
-    s = _check_displacement(rep, s)
-    exp_pos = {v: hermitian_exp(s[v]) for v in q.vertices}
-    exp_neg = {v: hermitian_exp(-s[v]) for v in q.vertices}
+    return _kempf_ness_gradient(rep, _check_displacement(rep, s), eta, w)
+
+
+def _kempf_ness_gradient(rep, s, eta, w) -> dict[str, np.ndarray]:
+    """Unchecked kernel of :func:`kempf_ness_gradient`, with the inputs of
+    :func:`_kempf_ness_value`."""
+    q = rep.quiver
+    exp_pos = {v: _hermitian_exp(s[v]) for v in q.vertices}
+    exp_neg = {v: _hermitian_exp(-s[v]) for v in q.vertices}
 
     p_acc = {v: np.zeros((rep.dims[v], rep.dims[v]), dtype=np.complex128) for v in q.vertices}
     q_acc = {v: np.zeros((rep.dims[v], rep.dims[v]), dtype=np.complex128) for v in q.vertices}
@@ -253,12 +268,13 @@ def kempf_ness_gradient(
         if d == 0:
             grad[v] = np.zeros((0, 0), dtype=np.complex128)
             continue
+        p, qv = p_acc[v], q_acc[v]
         g = (
-            frechet_exp(s[v], hermitian_part(p_acc[v]))
-            - frechet_exp(-s[v], hermitian_part(q_acc[v]))
+            _frechet_exp(s[v], 0.5 * (p + p.conj().T))
+            - _frechet_exp(-s[v], 0.5 * (qv + qv.conj().T))
             + eta[v] * np.eye(d, dtype=np.complex128)
         )
-        grad[v] = hermitian_part(g)
+        grad[v] = 0.5 * (g + g.conj().T)
     return grad
 
 

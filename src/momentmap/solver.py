@@ -22,8 +22,8 @@ Termination:
 
 * ``Converged`` -- the re-evaluated residual sup-norm at ``exp(s)`` is
   ``<= tol`` and a descent probe confirms stationarity.
-* ``Diverged`` -- some ``||s_v||`` crossed ``divergence_norm``; a destabilizing
-  subspace candidate is extracted from the trajectory.
+* ``Diverged`` -- some ``||s_v||`` crossed ``DIVERGENCE_NORM``; a
+  destabilizing subspace candidate is extracted from the final iterate.
 * ``MaxIters`` -- iteration budget exhausted (includes terminal stalls).
 """
 
@@ -37,12 +37,14 @@ from typing import Mapping, NamedTuple, Optional
 import numpy as np
 
 from .errors import MomentMapError, SolverError, ValidationError
-from .linalg import hermitian_basis, hermitian_exp, hermitian_part, sup_norm
+# ``hermitian_exp`` is unused here but stays importable from this module.
+from .linalg import _hermitian_exp, hermitian_basis, hermitian_exp, hermitian_part, sup_norm
 from .moment import (
     KahlerData,
-    kempf_ness_gradient,
-    kempf_ness_value,
-    king_residual,
+    _kempf_ness_gradient,
+    _kempf_ness_value,
+    _king_residual,
+    _weights,
     zero_displacement,
 )
 from .quiver import Representation, validate_eta
@@ -66,6 +68,18 @@ STATIONARY_STEP = 1e-3
 #: Largest trial step length (sup norm of alpha * direction) per iteration.
 STEP_CAP = 2.0
 
+#: Armijo sufficient-decrease constant of the line searches.
+ARMIJO_C = 1e-4
+
+#: Factor by which a rejected line-search trial shrinks the step.
+BACKTRACK = 0.5
+
+#: Residual sup below which damped-Newton steps replace steepest descent.
+NEWTON_SWITCH_TOL = 1e-4
+
+#: Sup norm of the displacement family beyond which the flow has diverged.
+DIVERGENCE_NORM = 50.0
+
 
 class SolveStatus(str, Enum):
     CONVERGED = "Converged"
@@ -75,29 +89,18 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tuning knobs for :func:`solve_metric`."""
+    """Residual tolerance and iteration budget of :func:`solve_metric`,
+    :func:`momentmap.adhm.solve_adhm` and
+    :func:`momentmap.nekrasov.solve_nekrasov`."""
 
     tol: float = 1e-10
     max_iters: int = 10000
-    divergence_norm: float = 50.0
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    newton_switch_tol: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValidationError(f"tol must be positive, got {self.tol}")
-        if not 0 < self.backtrack < 1:
-            raise ValidationError(f"backtrack must lie in (0,1), got {self.backtrack}")
-        if not 0 < self.armijo_c < 1:
-            raise ValidationError(f"armijo_c must lie in (0,1), got {self.armijo_c}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.divergence_norm > 0:
-            raise ValidationError(
-                f"divergence_norm must be positive, got {self.divergence_norm}"
-            )
 
 
 class HistoryRecord(NamedTuple):
@@ -230,7 +233,7 @@ def extract_destabilizer(
     )
 
 
-def _finite_difference_hessian(rep, s, eta, kahler, basis_index, scale):
+def _finite_difference_hessian(rep, s, eta, weights, basis_index, scale):
     """Hessian of the functional in the orthonormal Hermitian product basis."""
     n = len(basis_index)
     hess = np.zeros((n, n))
@@ -240,19 +243,19 @@ def _finite_difference_hessian(rep, s, eta, kahler, basis_index, scale):
         sp[v] = s[v] + eps * b
         sm = dict(s)
         sm[v] = s[v] - eps * b
-        gp = kempf_ness_gradient(rep, sp, eta, kahler)
-        gm = kempf_ness_gradient(rep, sm, eta, kahler)
+        gp = _kempf_ness_gradient(rep, sp, eta, weights)
+        gm = _kempf_ness_gradient(rep, sm, eta, weights)
         for i, (w, c) in enumerate(basis_index):
             hess[i, j] = float(np.trace((gp[w] - gm[w]) @ c).real) / (2 * eps)
     return 0.5 * (hess + hess.T)
 
 
-def _newton_direction(rep, s, eta, kahler, grad, residual, basis_index):
+def _newton_direction(rep, s, eta, weights, grad, residual, basis_index):
     """Damped Newton step in basis coordinates; None if not a descent direction."""
     if not basis_index:
         return None, 0.0
     scale = max(1.0, _family_sup(s))
-    hess = _finite_difference_hessian(rep, s, eta, kahler, basis_index, scale)
+    hess = _finite_difference_hessian(rep, s, eta, weights, basis_index, scale)
     lam = max(1e-10, residual)
     gvec = np.array([float(np.trace(grad[v] @ b).real) for v, b in basis_index])
     try:
@@ -268,7 +271,7 @@ def _newton_direction(rep, s, eta, kahler, grad, residual, basis_index):
     return direction, slope
 
 
-def _refine_by_residual(rep, s, eta, kahler, opts, residual, metric):
+def _refine_by_residual(rep, s, eta, weights, opts, residual, metric):
     """Endgame polish: damped Newton steps accepted iff the King residual
     strictly decreases.
 
@@ -282,9 +285,9 @@ def _refine_by_residual(rep, s, eta, kahler, opts, residual, metric):
     for _ in range(60):
         if best_res <= opts.tol:
             break
-        grad = kempf_ness_gradient(rep, best_s, eta, kahler)
+        grad = _kempf_ness_gradient(rep, best_s, eta, weights)
         direction, slope = _newton_direction(
-            rep, best_s, eta, kahler, grad, best_res, basis_index
+            rep, best_s, eta, weights, grad, best_res, basis_index
         )
         if direction is None:
             direction = {v: -grad[v] for v in rep.quiver.vertices}
@@ -296,8 +299,8 @@ def _refine_by_residual(rep, s, eta, kahler, opts, residual, metric):
                 for v in rep.quiver.vertices
             }
             try:
-                cand_metric = {v: hermitian_exp(cand[v]) for v in cand}
-                cand_res = king_residual(rep, cand_metric, eta, kahler).sup
+                cand_metric = {v: _hermitian_exp(cand[v]) for v in cand}
+                cand_res = _king_residual(rep, cand_metric, eta, weights).sup
             except MomentMapError:
                 alpha *= 0.5
                 continue
@@ -311,7 +314,7 @@ def _refine_by_residual(rep, s, eta, kahler, opts, residual, metric):
     return best_s, best_res, best_metric
 
 
-def _armijo_search(functional, vertices, s, value, direction, deriv, alpha, opts):
+def _armijo_search(functional, vertices, s, value, direction, deriv, alpha):
     """Backtracking line search with the Armijo sufficient-decrease rule.
 
     Returns ``(new_s, new_value)`` for the first accepted trial, or ``None``
@@ -322,11 +325,11 @@ def _armijo_search(functional, vertices, s, value, direction, deriv, alpha, opts
         try:
             cand_value = functional(cand)
         except MomentMapError:
-            alpha *= opts.backtrack
+            alpha *= BACKTRACK
             continue
-        if np.isfinite(cand_value) and cand_value <= value + opts.armijo_c * alpha * deriv:
+        if np.isfinite(cand_value) and cand_value <= value + ARMIJO_C * alpha * deriv:
             return cand, cand_value
-        alpha *= opts.backtrack
+        alpha *= BACKTRACK
     return None
 
 
@@ -379,8 +382,13 @@ def solve_metric(
     always describes the returned iterate, so ``history[-1].residual``
     equals ``final_sup``.
 
+    ``eta`` and ``kahler`` are validated once here; the iteration runs on the
+    unchecked kernels of :mod:`momentmap.moment`.
+
     Raises
     ------
+    ValidationError
+        If ``eta`` or the weights of ``kahler`` do not fit the quiver.
     SolverError
         If the functional or gradient becomes non-finite (carries the
         iteration index in ``details``).
@@ -388,20 +396,20 @@ def solve_metric(
     if opts is None:
         opts = SolveOptions()
     eta = validate_eta(rep.quiver, eta)
+    weights = _weights(rep.quiver, kahler)
     vertices = [v for v in rep.quiver.vertices]
 
     s = zero_displacement(rep)
-    trajectory = [dict(s)]
 
     def functional(point):
-        return kempf_ness_value(rep, point, eta, kahler)
+        return _kempf_ness_value(rep, point, eta, weights)
 
     def gradient(point):
-        return kempf_ness_gradient(rep, point, eta, kahler)
+        return _kempf_ness_gradient(rep, point, eta, weights)
 
     def residual_at(point):
-        metric = {v: hermitian_exp(point[v]) for v in vertices}
-        return king_residual(rep, metric, eta, kahler).sup, metric
+        metric = {v: _hermitian_exp(point[v]) for v in vertices}
+        return _king_residual(rep, metric, eta, weights).sup, metric
 
     try:
         value = functional(s)
@@ -435,19 +443,22 @@ def solve_metric(
         gnorm2 = _family_inner(grad, grad)
         gsup = _family_sup(grad)
         if gnorm2 <= 0.0:
-            # Exactly critical but residual > tol cannot happen (criticality
-            # is equivalent to a zero residual); treat as stalled defensively.
+            # An exactly zero gradient marks a critical point, that is a
+            # solution, and no probe can move from there; the re-evaluated
+            # residual decides whether it is one to ``tol``.
+            if residual <= opts.tol:
+                return finish(SolveStatus.CONVERGED, residual, metric)
             return finish(SolveStatus.MAX_ITERS, residual, metric)
 
         # --- choose a direction
         probe = force_descent
         force_descent = False
-        use_newton = residual < opts.newton_switch_tol and not probe
+        use_newton = residual < NEWTON_SWITCH_TOL and not probe
         direction = None
         deriv = None
         if use_newton:
             direction, deriv = _newton_direction(
-                rep, s, eta, kahler, grad, residual, basis_index
+                rep, s, eta, weights, grad, residual, basis_index
             )
             if direction is None:
                 use_newton = False
@@ -480,9 +491,7 @@ def solve_metric(
             alpha = float(min(alpha, STEP_CAP / dir_sup))
 
         # --- Armijo backtracking
-        step = _armijo_search(
-            functional, vertices, s, value, direction, deriv, alpha, opts
-        )
+        step = _armijo_search(functional, vertices, s, value, direction, deriv, alpha)
         accepted = step is not None
         if accepted:
             new_s, new_value = step
@@ -494,13 +503,13 @@ def solve_metric(
             # as a rescue before concluding anything.
             if not use_newton:
                 r_dir, r_deriv = _newton_direction(
-                    rep, s, eta, kahler, grad, residual, basis_index
+                    rep, s, eta, weights, grad, residual, basis_index
                 )
                 if r_dir is not None:
                     r_sup = _family_sup(r_dir)
                     r_alpha = min(1.0, STEP_CAP / r_sup) if r_sup > 0 else 1.0
                     step = _armijo_search(
-                        functional, vertices, s, value, r_dir, r_deriv, r_alpha, opts
+                        functional, vertices, s, value, r_dir, r_deriv, r_alpha
                     )
                     if step is not None and step[1] < value:
                         new_s, new_value = step
@@ -510,13 +519,13 @@ def solve_metric(
             # floating-point resolution.  Polish the residual if needed, then
             # separate a genuine minimum from an escaping flat valley (where
             # the residual also decays) with one full-length descent trial.
-            if residual >= opts.newton_switch_tol:
+            if residual >= NEWTON_SWITCH_TOL:
                 logger.debug("line search stalled at iteration %d", iteration)
                 return finish(SolveStatus.MAX_ITERS, residual, metric)
             refined = residual > opts.tol
             if refined:
                 s, residual, metric = _refine_by_residual(
-                    rep, s, eta, kahler, opts, residual, metric
+                    rep, s, eta, weights, opts, residual, metric
                 )
                 try:
                     value = functional(s)
@@ -547,7 +556,6 @@ def solve_metric(
         prev_s, prev_grad = s, grad
         s, value = new_s, new_value
         last_step_sup = _family_sup({v: s[v] - prev_s[v] for v in vertices})
-        trajectory.append(dict(s))
         try:
             grad = gradient(s)
         except MomentMapError as exc:
@@ -560,8 +568,8 @@ def solve_metric(
         history.append(HistoryRecord(iteration, value, residual))
 
         # --- termination checks: escape first, then stationarity
-        if _family_sup(s) > opts.divergence_norm:
-            cert = extract_destabilizer(trajectory, rep, eta)
+        if _family_sup(s) > DIVERGENCE_NORM:
+            cert = extract_destabilizer([s], rep, eta)
             return finish(SolveStatus.DIVERGED, residual, metric, cert)
         if residual <= opts.tol and last_step_sup <= STATIONARY_STEP * max(
             1.0, _family_sup(s)

@@ -173,6 +173,18 @@ class TestSolveAdhm:
         npt.assert_array_equal(s1.alpha, s2.alpha)
         npt.assert_array_equal(s1.b, s2.b)
 
+    def test_only_the_solution_is_validated(self, monkeypatch):
+        constructions = []
+        original = ADHMData.__post_init__
+
+        def counted(self):
+            constructions.append(1)
+            original(self)
+
+        monkeypatch.setattr(ADHMData, "__post_init__", counted)
+        solve_adhm(3, 2, 1.0)
+        assert len(constructions) == 1
+
     def test_nonconvergence_carries_best_residuals(self):
         with pytest.raises(SolverError) as err:
             solve_adhm(3, 2, 1.0, seed=0, opts=SolveOptions(max_iters=2))
