@@ -34,6 +34,9 @@ __all__ = [
 #: Relative tolerance for Hermitian-symmetry and positive-definiteness checks.
 DEFAULT_TOL = 1e-12
 
+#: Off-diagonal entry of the :func:`hermitian_basis` matrices.
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite 2-d complex128 array.
@@ -82,8 +85,12 @@ def frobenius_norm(a) -> float:
 
 def hermitian_part(a) -> np.ndarray:
     """Return ``(a + a^dagger)/2``."""
-    arr = as_complex_matrix(a)
-    return 0.5 * (arr + arr.conj().T)
+    return _hermitian_part(as_complex_matrix(a))
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """Unchecked kernel of :func:`hermitian_part`; non-finite entries pass."""
+    return 0.5 * (a + a.conj().T)
 
 
 def as_hermitian(a, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
@@ -142,10 +149,19 @@ def _hermitian_exp(h: np.ndarray) -> np.ndarray:
     """Unchecked kernel of :func:`hermitian_exp`; ``h`` must be Hermitian."""
     if h.shape[0] == 0:
         return h
+    return _exp_from_eigh(*_eigh(h))
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the Hermitian matrix ``h``."""
     try:
-        w, u = np.linalg.eigh(h)
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _exp_from_eigh(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Exponential of the Hermitian matrix with eigenpairs ``(w, u)``."""
     ew = np.exp(w)
     if not np.all(np.isfinite(ew)):
         raise NumericError("matrix exponential overflowed")
@@ -199,11 +215,9 @@ def metric_adjoint(t, h_src, h_dst) -> np.ndarray:
 
 def _sinch(x: np.ndarray) -> np.ndarray:
     """Entrywise sinh(x)/x, analytic continuation 1 at x = 0."""
-    out = np.ones_like(x)
     small = np.abs(x) < 1e-5
     xs = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 + x * x / 6.0, np.sinh(xs) / xs)
-    return out
+    return np.where(small, 1.0 + x * x / 6.0, np.sinh(xs) / xs)
 
 
 def frechet_exp(s, x) -> np.ndarray:
@@ -231,10 +245,28 @@ def _frechet_exp(hs: np.ndarray, hx: np.ndarray) -> np.ndarray:
     Hermitian of one shape."""
     if hs.shape[0] == 0:
         return hs
-    w, u = np.linalg.eigh(hs)
+    w, u = _eigh(hs)
+    return _frechet_apply(u, _frechet_kernel(w), hx)
+
+
+def _exp_spectrum(h: np.ndarray):
+    """``(exp(h), eigenvectors, Frechet kernel)`` of Hermitian ``h``, one eigh."""
+    if h.shape[0] == 0:
+        return h, None, None
+    w, u = _eigh(h)
+    return _exp_from_eigh(w, u), u, _frechet_kernel(w)
+
+
+def _frechet_kernel(w: np.ndarray) -> np.ndarray:
+    """Divided differences ``(e^a - e^b)/(a - b)`` over the eigenvalues ``w``."""
     diff = w[:, None] - w[None, :]
     avg = 0.5 * (w[:, None] + w[None, :])
-    kernel = np.exp(avg) * _sinch(0.5 * diff)
+    return np.exp(avg) * _sinch(0.5 * diff)
+
+
+def _frechet_apply(u: np.ndarray, kernel: np.ndarray, hx: np.ndarray) -> np.ndarray:
+    """Derivative of exp along Hermitian ``hx`` at the base point with
+    eigenvectors ``u`` and :func:`_frechet_kernel` ``kernel``."""
     xt = u.conj().T @ hx @ u
     out = u @ (kernel * xt) @ u.conj().T
     return 0.5 * (out + out.conj().T)
@@ -247,7 +279,6 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
     for j < k, orthonormal under ``(a, b) -> Re tr(a b)``.
     """
     basis = []
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for j in range(n):
         e = np.zeros((n, n), dtype=np.complex128)
         e[j, j] = 1.0
@@ -255,11 +286,36 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
     for j in range(n):
         for k in range(j + 1, n):
             e = np.zeros((n, n), dtype=np.complex128)
-            e[j, k] = inv_sqrt2
-            e[k, j] = inv_sqrt2
+            e[j, k] = _INV_SQRT2
+            e[k, j] = _INV_SQRT2
             basis.append(e)
             f = np.zeros((n, n), dtype=np.complex128)
-            f[j, k] = 1j * inv_sqrt2
-            f[k, j] = -1j * inv_sqrt2
+            f[j, k] = 1j * _INV_SQRT2
+            f[k, j] = -1j * _INV_SQRT2
             basis.append(f)
     return basis
+
+
+def _hermitian_coords(m: np.ndarray) -> np.ndarray:
+    """``Re tr(m c)`` for the matrices ``c`` of :func:`hermitian_basis`, in
+    order; bitwise equal to ``float(np.trace(m @ c).real)``."""
+    n = m.shape[0]
+    upper = ~np.tri(n, dtype=bool)
+    up, lo = m[upper], m.T[upper]
+    out = np.empty(n * n)
+    out[:n] = m.diagonal().real
+    out[n::2] = up.real * _INV_SQRT2 + lo.real * _INV_SQRT2
+    out[n + 1::2] = up.imag * _INV_SQRT2 - lo.imag * _INV_SQRT2
+    return out
+
+
+def _hermitian_from_coords(x: np.ndarray, n: int) -> np.ndarray:
+    """``sum_i x_i c_i`` over :func:`hermitian_basis`, bitwise as if accumulated
+    onto a zero matrix (``+ 0.0`` turns its negative zeros positive)."""
+    upper = ~np.tri(n, dtype=bool)
+    e, f = x[n::2] * _INV_SQRT2, x[n + 1::2] * _INV_SQRT2
+    out = np.zeros((n, n), dtype=np.complex128)
+    out.real[np.diag_indices(n)] = x[:n]
+    out.real[upper] = out.real.T[upper] = e
+    out.imag[upper], out.imag.T[upper] = f, -f
+    return out + 0.0

@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
-    _frechet_exp,
+    _exp_spectrum,
+    _frechet_apply,
     _hermitian_exp,
     as_complex_matrix,
     as_hermitian,
@@ -249,33 +250,38 @@ def kempf_ness_gradient(
 def _kempf_ness_gradient(rep, s, eta, w) -> dict[str, np.ndarray]:
     """Unchecked kernel of :func:`kempf_ness_gradient`, with the inputs of
     :func:`_kempf_ness_value`."""
-    q = rep.quiver
-    exp_pos = {v: _hermitian_exp(s[v]) for v in q.vertices}
-    exp_neg = {v: _hermitian_exp(-s[v]) for v in q.vertices}
+    spectra = _spectra(rep, s)
+    return {v: _gradient_block(rep, v, spectra, eta, w) for v in rep.quiver.vertices}
 
-    p_acc = {v: np.zeros((rep.dims[v], rep.dims[v]), dtype=np.complex128) for v in q.vertices}
-    q_acc = {v: np.zeros((rep.dims[v], rep.dims[v]), dtype=np.complex128) for v in q.vertices}
-    for a in q.arrows:
+
+def _spectra(rep, s) -> dict:
+    """Vertex -> the :func:`_exp_spectrum` pair of ``s_v`` and ``-s_v``."""
+    return {v: (_exp_spectrum(s[v]), _exp_spectrum(-s[v])) for v in rep.quiver.vertices}
+
+
+def _gradient_block(rep, v, spectra, eta, w) -> np.ndarray:
+    """Block ``G_v`` of :func:`kempf_ness_gradient` from the :func:`_spectra`
+    of ``v`` and of its neighbours; arrows are summed in quiver order."""
+    d = rep.dims[v]
+    if d == 0:
+        return np.zeros((0, 0), dtype=np.complex128)
+    p = np.zeros((d, d), dtype=np.complex128)
+    qv = np.zeros((d, d), dtype=np.complex128)
+    for a in rep.quiver.arrows:
         t = rep.matrices[a.name]
         if t.size == 0:
             continue
-        p_acc[a.dst] = p_acc[a.dst] + w[a.name] * (t @ exp_neg[a.src] @ t.conj().T)
-        q_acc[a.src] = q_acc[a.src] + w[a.name] * (t.conj().T @ exp_pos[a.dst] @ t)
-
-    grad = {}
-    for v in q.vertices:
-        d = rep.dims[v]
-        if d == 0:
-            grad[v] = np.zeros((0, 0), dtype=np.complex128)
-            continue
-        p, qv = p_acc[v], q_acc[v]
-        g = (
-            _frechet_exp(s[v], 0.5 * (p + p.conj().T))
-            - _frechet_exp(-s[v], 0.5 * (qv + qv.conj().T))
-            + eta[v] * np.eye(d, dtype=np.complex128)
-        )
-        grad[v] = 0.5 * (g + g.conj().T)
-    return grad
+        if a.dst == v:
+            p = p + w[a.name] * (t @ spectra[a.src][1][0] @ t.conj().T)
+        if a.src == v:
+            qv = qv + w[a.name] * (t.conj().T @ spectra[a.dst][0][0] @ t)
+    (_, u_pos, k_pos), (_, u_neg, k_neg) = spectra[v]
+    g = (
+        _frechet_apply(u_pos, k_pos, 0.5 * (p + p.conj().T))
+        - _frechet_apply(u_neg, k_neg, 0.5 * (qv + qv.conj().T))
+        + eta[v] * np.eye(d, dtype=np.complex128)
+    )
+    return 0.5 * (g + g.conj().T)
 
 
 def _check_gauge_directions(

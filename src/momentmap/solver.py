@@ -38,14 +38,13 @@ import numpy as np
 
 from .errors import MomentMapError, SolverError, ValidationError
 # ``hermitian_exp`` is unused here but stays importable from this module.
-from .linalg import _hermitian_exp, hermitian_basis, hermitian_exp, hermitian_part, sup_norm
+from .linalg import (
+    _exp_spectrum, _hermitian_coords, _hermitian_exp, _hermitian_from_coords, _hermitian_part,
+    hermitian_basis, hermitian_exp, hermitian_part, sup_norm,
+)
 from .moment import (
-    KahlerData,
-    _kempf_ness_gradient,
-    _kempf_ness_value,
-    _king_residual,
-    _weights,
-    zero_displacement,
+    KahlerData, _gradient_block, _kempf_ness_gradient, _kempf_ness_value, _king_residual,
+    _spectra, _weights, zero_displacement,
 )
 from .quiver import Representation, validate_eta
 
@@ -233,31 +232,41 @@ def extract_destabilizer(
     )
 
 
-def _finite_difference_hessian(rep, s, eta, weights, basis_index, scale):
-    """Hessian of the functional in the orthonormal Hermitian product basis."""
-    n = len(basis_index)
-    hess = np.zeros((n, n))
+def _finite_difference_hessian(rep, s, eta, weights, scale):
+    """Hessian of the functional in the orthonormal Hermitian product basis:
+    central differences ``(G(s + eps b) - G(s - eps b)) / (2 eps)``, with
+    ``eps = 1e-4 * scale``, symmetrised.  The spectra of ``exp(+-s_v)`` are
+    computed once; a column perturbing ``v`` decomposes only ``+-(s_v +- eps b)``
+    and re-evaluates only the blocks at ``v`` and its neighbours, the others
+    subtracting to ``0.0``.  Bitwise equal to full re-evaluation per column.
+    """
+    q = rep.quiver
     eps = 1e-4 * scale
-    for j, (v, b) in enumerate(basis_index):
-        sp = dict(s)
-        sp[v] = s[v] + eps * b
-        sm = dict(s)
-        sm[v] = s[v] - eps * b
-        gp = _kempf_ness_gradient(rep, sp, eta, weights)
-        gm = _kempf_ness_gradient(rep, sm, eta, weights)
-        for i, (w, c) in enumerate(basis_index):
-            hess[i, j] = float(np.trace((gp[w] - gm[w]) @ c).real) / (2 * eps)
+    ends = np.cumsum([rep.dims[v] ** 2 for v in q.vertices])
+    rows = {v: slice(e - rep.dims[v] ** 2, e) for v, e in zip(q.vertices, ends)}
+    base = _spectra(rep, s)
+    hess = np.zeros((ends[-1], ends[-1]))
+    for v in q.vertices:
+        near = [x for x in q.vertices if x == v or {v, x} in ({a.src, a.dst} for a in q.arrows)]
+        for j, b in enumerate(hermitian_basis(rep.dims[v]), rows[v].start):
+            sp, sm = s[v] + eps * b, s[v] - eps * b
+            plus = {**base, v: (_exp_spectrum(sp), _exp_spectrum(-sp))}
+            minus = {**base, v: (_exp_spectrum(sm), _exp_spectrum(-sm))}
+            for x in near:
+                gp, gm = (_gradient_block(rep, x, sx, eta, weights) for sx in (plus, minus))
+                hess[rows[x], j] = _hermitian_coords(gp - gm) / (2 * eps)
     return 0.5 * (hess + hess.T)
 
 
-def _newton_direction(rep, s, eta, weights, grad, residual, basis_index):
+def _newton_direction(rep, s, eta, weights, grad, residual):
     """Damped Newton step in basis coordinates; None if not a descent direction."""
-    if not basis_index:
+    vertices = rep.quiver.vertices
+    if not any(rep.dims[v] for v in vertices):
         return None, 0.0
     scale = max(1.0, _family_sup(s))
-    hess = _finite_difference_hessian(rep, s, eta, weights, basis_index, scale)
+    hess = _finite_difference_hessian(rep, s, eta, weights, scale)
     lam = max(1e-10, residual)
-    gvec = np.array([float(np.trace(grad[v] @ b).real) for v, b in basis_index])
+    gvec = np.concatenate([_hermitian_coords(grad[v]) for v in vertices])
     try:
         delta = np.linalg.solve(hess + lam * np.eye(len(gvec)), -gvec)
     except np.linalg.LinAlgError:
@@ -265,9 +274,8 @@ def _newton_direction(rep, s, eta, weights, grad, residual, basis_index):
     slope = float(delta @ gvec)
     if not np.isfinite(slope) or slope >= 0:
         return None, 0.0
-    direction = {v: np.zeros_like(s[v]) for v in rep.quiver.vertices}
-    for coeff, (v, b) in zip(delta, basis_index):
-        direction[v] = direction[v] + coeff * b
+    parts = np.split(delta, np.cumsum([rep.dims[v] ** 2 for v in vertices])[:-1])
+    direction = {v: _hermitian_from_coords(x, rep.dims[v]) for v, x in zip(vertices, parts)}
     return direction, slope
 
 
@@ -280,22 +288,19 @@ def _refine_by_residual(rep, s, eta, weights, opts, residual, metric):
     Armijo-on-functional cannot certify the final contractions; the residual
     itself is the reliable progress measure there.
     """
-    basis_index = [(v, b) for v in rep.quiver.vertices for b in hermitian_basis(rep.dims[v])]
     best_s, best_res, best_metric = s, residual, metric
     for _ in range(60):
         if best_res <= opts.tol:
             break
         grad = _kempf_ness_gradient(rep, best_s, eta, weights)
-        direction, slope = _newton_direction(
-            rep, best_s, eta, weights, grad, best_res, basis_index
-        )
+        direction, slope = _newton_direction(rep, best_s, eta, weights, grad, best_res)
         if direction is None:
             direction = {v: -grad[v] for v in rep.quiver.vertices}
         alpha = 1.0
         improved = False
         while alpha > 1e-8:
             cand = {
-                v: hermitian_part(best_s[v] + alpha * direction[v])
+                v: _hermitian_part(best_s[v] + alpha * direction[v])
                 for v in rep.quiver.vertices
             }
             try:
@@ -321,7 +326,7 @@ def _armijo_search(functional, vertices, s, value, direction, deriv, alpha):
     when every trial down to the numerical floor is rejected.
     """
     while alpha > 1e-16:
-        cand = {v: hermitian_part(s[v] + alpha * direction[v]) for v in vertices}
+        cand = {v: _hermitian_part(s[v] + alpha * direction[v]) for v in vertices}
         try:
             cand_value = functional(cand)
         except MomentMapError:
@@ -355,7 +360,7 @@ def _descent_probe(vertices, s, grad, functional):
     alpha = STEP_CAP / dir_sup
     floor = STATIONARY_STEP * max(1.0, _family_sup(s))
     while alpha * dir_sup > floor:
-        cand = {v: hermitian_part(s[v] + alpha * direction[v]) for v in vertices}
+        cand = {v: _hermitian_part(s[v] + alpha * direction[v]) for v in vertices}
         try:
             cand_value = functional(cand)
         except MomentMapError:
@@ -404,21 +409,19 @@ def solve_metric(
     def functional(point):
         return _kempf_ness_value(rep, point, eta, weights)
 
-    def gradient(point):
-        return _kempf_ness_gradient(rep, point, eta, weights)
-
-    def residual_at(point):
-        metric = {v: _hermitian_exp(point[v]) for v in vertices}
-        return _king_residual(rep, metric, eta, weights).sup, metric
+    def gradient_and_metric(point):
+        spectra = _spectra(rep, point)
+        grad = {v: _gradient_block(rep, v, spectra, eta, weights) for v in vertices}
+        return grad, {v: spectra[v][0][0] for v in vertices}
 
     try:
         value = functional(s)
-        grad = gradient(s)
+        grad, metric = gradient_and_metric(s)
     except MomentMapError as exc:
         raise SolverError("initial evaluation failed", {"iteration": 0}) from exc
     if not np.isfinite(value):
         raise SolverError("non-finite functional", {"iteration": 0})
-    residual, metric = residual_at(s)
+    residual = _king_residual(rep, metric, eta, weights).sup
     history = [HistoryRecord(0, value, residual)]
 
     def finish(status, res, met, cert=None):
@@ -437,7 +440,6 @@ def solve_metric(
     prev_s = None
     prev_grad = None
     force_descent = False
-    basis_index = [(v, b) for v in vertices for b in hermitian_basis(rep.dims[v])]
 
     for iteration in range(1, opts.max_iters + 1):
         gnorm2 = _family_inner(grad, grad)
@@ -457,9 +459,7 @@ def solve_metric(
         direction = None
         deriv = None
         if use_newton:
-            direction, deriv = _newton_direction(
-                rep, s, eta, weights, grad, residual, basis_index
-            )
+            direction, deriv = _newton_direction(rep, s, eta, weights, grad, residual)
             if direction is None:
                 use_newton = False
         if direction is None:
@@ -502,9 +502,7 @@ def solve_metric(
             # damped Newton direction suppresses wall components, so try it
             # as a rescue before concluding anything.
             if not use_newton:
-                r_dir, r_deriv = _newton_direction(
-                    rep, s, eta, weights, grad, residual, basis_index
-                )
+                r_dir, r_deriv = _newton_direction(rep, s, eta, weights, grad, residual)
                 if r_dir is not None:
                     r_sup = _family_sup(r_dir)
                     r_alpha = min(1.0, STEP_CAP / r_sup) if r_sup > 0 else 1.0
@@ -538,7 +536,7 @@ def solve_metric(
                     history.append(HistoryRecord(iteration, value, residual))
                     return finish(SolveStatus.MAX_ITERS, residual, metric)
                 try:
-                    grad = gradient(s)
+                    grad, _ = gradient_and_metric(s)
                 except MomentMapError as exc:
                     raise SolverError(
                         "gradient evaluation failed", {"iteration": iteration}
@@ -557,14 +555,14 @@ def solve_metric(
         s, value = new_s, new_value
         last_step_sup = _family_sup({v: s[v] - prev_s[v] for v in vertices})
         try:
-            grad = gradient(s)
+            grad, metric = gradient_and_metric(s)
         except MomentMapError as exc:
             raise SolverError(
                 "gradient evaluation failed", {"iteration": iteration}
             ) from exc
         if not np.isfinite(value):
             raise SolverError("non-finite functional", {"iteration": iteration})
-        residual, metric = residual_at(s)
+        residual = _king_residual(rep, metric, eta, weights).sup
         history.append(HistoryRecord(iteration, value, residual))
 
         # --- termination checks: escape first, then stationarity

@@ -6,6 +6,8 @@ import pytest
 
 from momentmap.errors import ValidationError
 from momentmap.linalg import (
+    _hermitian_coords,
+    _hermitian_from_coords,
     as_complex_matrix,
     as_hermitian,
     as_positive_definite,
@@ -210,3 +212,26 @@ class TestHermitianBasis:
             for j, b in enumerate(basis):
                 ip = np.real(np.trace(a @ b))
                 npt.assert_allclose(ip, 1.0 if i == j else 0.0, atol=1e-14)
+
+    def test_closed_form_pairing_is_bitwise_the_trace_loop(self):
+        rng = np.random.default_rng(21)
+        for n in range(9):
+            basis = hermitian_basis(n)
+            for _ in range(20):
+                m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                m[rng.random((n, n)) < 0.3] = 0.0
+                want = np.array([float(np.trace(m @ c).real) for c in basis])
+                assert _hermitian_coords(m).tobytes() == want.tobytes()
+
+    def test_closed_form_assembly_is_bitwise_the_accumulation(self):
+        rng = np.random.default_rng(22)
+        for n in range(9):
+            basis = hermitian_basis(n)
+            for _ in range(20):
+                x = rng.standard_normal(n * n)
+                x[rng.random(n * n) < 0.2] = 0.0
+                x[rng.random(n * n) < 0.2] = -0.0
+                want = np.zeros((n, n), dtype=np.complex128)
+                for coeff, c in zip(x, basis):
+                    want = want + coeff * c
+                assert _hermitian_from_coords(x, n).tobytes() == want.tobytes()

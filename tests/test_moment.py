@@ -5,9 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from momentmap.errors import ValidationError
-from momentmap.linalg import hermitian_basis, hermitian_exp, sup_norm
+from momentmap.linalg import _frechet_exp, _hermitian_exp, hermitian_basis, hermitian_exp, sup_norm
 from momentmap.moment import (
     KahlerData,
+    _kempf_ness_gradient,
     gauge_variation,
     hamiltonian_projector,
     hamiltonian_trivial,
@@ -46,6 +47,55 @@ def two_vertex_quiver():
         ("1", "2"),
         (Arrow("a", "1", "2"), Arrow("b", "2", "1"), Arrow("l", "1", "1")),
     )
+
+
+def mixed_case():
+    """A loop, parallel arrows, a zero-dimensional vertex, nonzero eta,
+    non-unit weights and a displacement of sup norm about 3."""
+    q = Quiver(
+        ("a", "b", "c", "d", "z"),
+        (Arrow("l", "a", "a"), Arrow("p1", "a", "b"), Arrow("p2", "a", "b"),
+         Arrow("r", "b", "c"), Arrow("s", "c", "a"), Arrow("t", "c", "d"),
+         Arrow("u", "z", "a"), Arrow("w", "b", "z")),
+    )
+    dims = {"a": 3, "b": 2, "c": 2, "d": 1, "z": 0}
+    rep = random_representation(q, dims, seed=7)
+    eta = {"a": 1.0, "b": -0.5, "c": -1.5, "d": 1.0, "z": 0.7}
+    weights = {"l": 0.7, "p1": 1.3, "p2": 2.1, "r": 0.4, "s": 1.7, "t": 0.6, "u": 0.9, "w": 1.1}
+    rng = np.random.default_rng(3)
+    s = {v: rand_herm(rng, dims[v]) for v in q.vertices}
+    top = max(sup_norm(m) for m in s.values())
+    return rep, {v: 3.0 * m / top for v, m in s.items()}, eta, weights
+
+
+def reference_gradient(rep, s, eta, w):
+    """The gradient with every exponential and Frechet derivative evaluated
+    on its own, each with its own eigendecomposition."""
+    q = rep.quiver
+    exp_pos = {v: _hermitian_exp(s[v]) for v in q.vertices}
+    exp_neg = {v: _hermitian_exp(-s[v]) for v in q.vertices}
+    p_acc = {v: np.zeros((rep.dims[v], rep.dims[v]), dtype=np.complex128) for v in q.vertices}
+    q_acc = {v: np.zeros((rep.dims[v], rep.dims[v]), dtype=np.complex128) for v in q.vertices}
+    for a in q.arrows:
+        t = rep.matrices[a.name]
+        if t.size == 0:
+            continue
+        p_acc[a.dst] = p_acc[a.dst] + w[a.name] * (t @ exp_neg[a.src] @ t.conj().T)
+        q_acc[a.src] = q_acc[a.src] + w[a.name] * (t.conj().T @ exp_pos[a.dst] @ t)
+    grad = {}
+    for v in q.vertices:
+        d = rep.dims[v]
+        if d == 0:
+            grad[v] = np.zeros((0, 0), dtype=np.complex128)
+            continue
+        p, qv = p_acc[v], q_acc[v]
+        g = (
+            _frechet_exp(s[v], 0.5 * (p + p.conj().T))
+            - _frechet_exp(-s[v], 0.5 * (qv + qv.conj().T))
+            + eta[v] * np.eye(d, dtype=np.complex128)
+        )
+        grad[v] = 0.5 * (g + g.conj().T)
+    return grad
 
 
 class TestKingResidual:
@@ -268,6 +318,16 @@ class TestKempfNessGradient:
         rep = Representation(q, {"v": 3}, {"l0": t})
         g = kempf_ness_gradient(rep, zero_displacement(rep), {"v": 0.0})
         assert sup_norm(g["v"]) < 1e-13
+
+    def test_bitwise_equal_to_separately_evaluated_kernels(self):
+        rep, s, eta, weights = mixed_case()
+        assert 2.9 < max(sup_norm(m) for m in s.values()) < 3.1
+        got = _kempf_ness_gradient(rep, s, eta, weights)
+        want = reference_gradient(rep, s, eta, weights)
+        assert list(got) == list(want)
+        for v in rep.quiver.vertices:
+            assert np.array_equal(got[v], want[v])
+            assert got[v].tobytes() == want[v].tobytes()
 
     def test_gradient_blocks_hermitian(self):
         rng = np.random.default_rng(12)

@@ -8,8 +8,13 @@ import pytest
 
 from momentmap import linalg, solver
 from momentmap.errors import ValidationError
-from momentmap.linalg import hermitian_log, sup_norm
-from momentmap.moment import kempf_ness_value, king_residual
+from momentmap.linalg import hermitian_basis, hermitian_log, sup_norm
+from momentmap.moment import (
+    _kempf_ness_gradient,
+    _kempf_ness_value,
+    kempf_ness_value,
+    king_residual,
+)
 from momentmap.quiver import (
     Arrow,
     Quiver,
@@ -47,6 +52,48 @@ def generic_sum_rep(seed, dim=2):
     r1 = random_representation(q, {"v": dim}, seed=seed)
     r2 = random_representation(q, {"v": dim}, seed=seed + 1000)
     return direct_sum(r1, r2)
+
+
+def mixed_case():
+    """A loop, parallel arrows, a zero-dimensional vertex, nonzero eta,
+    non-unit weights and a displacement of sup norm about 3; vertex ``d``
+    is not adjacent to ``a``, so some Hessian blocks are untouched."""
+    q = Quiver(
+        ("a", "b", "c", "d", "z"),
+        (Arrow("l", "a", "a"), Arrow("p1", "a", "b"), Arrow("p2", "a", "b"),
+         Arrow("r", "b", "c"), Arrow("s", "c", "a"), Arrow("t", "c", "d"),
+         Arrow("u", "z", "a"), Arrow("w", "b", "z")),
+    )
+    dims = {"a": 3, "b": 2, "c": 2, "d": 1, "z": 0}
+    rep = random_representation(q, dims, seed=7)
+    eta = {"a": 1.0, "b": -0.5, "c": -1.5, "d": 1.0, "z": 0.7}
+    weights = {"l": 0.7, "p1": 1.3, "p2": 2.1, "r": 0.4, "s": 1.7, "t": 0.6, "u": 0.9, "w": 1.1}
+    rng = np.random.default_rng(3)
+    s = {}
+    for v in q.vertices:
+        a = rng.standard_normal((dims[v], dims[v])) + 1j * rng.standard_normal((dims[v], dims[v]))
+        s[v] = 0.5 * (a + a.conj().T)
+    top = max(sup_norm(m) for m in s.values())
+    return rep, {v: 3.0 * m / top for v, m in s.items()}, eta, weights
+
+
+def reference_hessian(rep, s, eta, weights, scale):
+    """The central-difference Hessian with the full gradient re-evaluated for
+    every column and every entry paired by a trace."""
+    basis_index = [(v, b) for v in rep.quiver.vertices for b in hermitian_basis(rep.dims[v])]
+    n = len(basis_index)
+    hess = np.zeros((n, n))
+    eps = 1e-4 * scale
+    for j, (v, b) in enumerate(basis_index):
+        sp = dict(s)
+        sp[v] = s[v] + eps * b
+        sm = dict(s)
+        sm[v] = s[v] - eps * b
+        gp = _kempf_ness_gradient(rep, sp, eta, weights)
+        gm = _kempf_ness_gradient(rep, sm, eta, weights)
+        for i, (w, c) in enumerate(basis_index):
+            hess[i, j] = float(np.trace((gp[w] - gm[w]) @ c).real) / (2 * eps)
+    return 0.5 * (hess + hess.T), basis_index
 
 
 class TestSolveOptions:
@@ -130,6 +177,92 @@ class TestSolveMetricExamples:
         assert out.status is SolveStatus.CONVERGED
         assert out.final_sup <= SolveOptions().tol
         assert king_residual(rep, out.metric, eta).sup <= SolveOptions().tol
+
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_canonical_jordan_loop_diverges_to_one_line(self, d):
+        # A rounding-level change in the Newton endgame turns the 6x6 loop's
+        # certificate into {v: 5}; keep the benchmark's gate in tier 1.
+        rep = loop_rep(np.diag(np.ones(d - 1), 1))
+        out = solve_metric(rep, {"v": 0.0}, opts=SolveOptions(max_iters=300))
+        assert out.status is SolveStatus.DIVERGED
+        assert out.certificate.subdims == {"v": 1}
+
+
+class TestNewtonEndgame:
+    def test_hessian_bitwise_equal_to_full_reevaluation(self):
+        rep, s, eta, weights = mixed_case()
+        scale = max(1.0, solver._family_sup(s))
+        assert 2.9 < scale < 3.1
+        want, _ = reference_hessian(rep, s, eta, weights, scale)
+        got = solver._finite_difference_hessian(rep, s, eta, weights, scale)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        # Perturbing "a" leaves the block of the non-adjacent vertex "d".
+        assert got[17, :9].tolist() == [0.0] * 9
+
+    def test_newton_direction_bitwise_equal_to_basis_loops(self):
+        rep, s, eta, weights = mixed_case()
+        grad = _kempf_ness_gradient(rep, s, eta, weights)
+        hess, basis_index = reference_hessian(
+            rep, s, eta, weights, max(1.0, solver._family_sup(s))
+        )
+        gvec = np.array([float(np.trace(grad[v] @ b).real) for v, b in basis_index])
+        delta = np.linalg.solve(hess + 1e-3 * np.eye(len(gvec)), -gvec)
+        want = {v: np.zeros_like(s[v]) for v in rep.quiver.vertices}
+        for coeff, (v, b) in zip(delta, basis_index):
+            want[v] = want[v] + coeff * b
+        got, slope = solver._newton_direction(rep, s, eta, weights, grad, 1e-3)
+        assert slope == float(delta @ gvec) < 0
+        for v in rep.quiver.vertices:
+            assert got[v].tobytes() == want[v].tobytes()
+
+    def test_hessian_eigendecompositions(self, monkeypatch):
+        # One eigh per vertex and sign at s, four per column.  Re-evaluating
+        # the full gradient per column takes 1,152 on this quiver.
+        q = Quiver(
+            ("x", "y", "z"),
+            (Arrow("a", "x", "y"), Arrow("b", "y", "z"), Arrow("c", "z", "x")),
+        )
+        rep = random_representation(q, {"x": 4, "y": 4, "z": 4}, seed=5)
+        rng = np.random.default_rng(5)
+        s = {}
+        for v in q.vertices:
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            s[v] = 0.25 * (a + a.conj().T)
+        weights = {"a": 1.0, "b": 1.0, "c": 1.0}
+        eta = {"x": 0.0, "y": 0.0, "z": 0.0}
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(h):
+            calls.append(1)
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        solver._finite_difference_hessian(rep, s, eta, weights, 1.0)
+        assert len(calls) <= 4 * 48 + 2 * 3
+
+    def test_overflowing_trial_is_a_backtrack(self):
+        rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
+        eta, weights = {"v": 0.0}, {"l0": 1.0}
+        s = {"v": np.zeros((2, 2), dtype=np.complex128)}
+        grad = _kempf_ness_gradient(rep, s, eta, weights)
+
+        def functional(point):
+            return _kempf_ness_value(rep, point, eta, weights)
+
+        value = functional(s)
+        big = {"v": -1e10 * grad["v"]}
+        deriv = -1e10 * float(np.trace(grad["v"] @ grad["v"]).real)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # The first trial, 1e300 times the direction, is not finite.
+            assert not np.all(np.isfinite(1e300 * big["v"]))
+            step = solver._armijo_search(functional, ["v"], s, value, big, deriv, 1e300)
+        assert step is not None
+        new_s, new_value = step
+        assert new_value < value
+        assert 0 < sup_norm(new_s["v"]) <= solver.STEP_CAP
 
 
 class TestSolveMetricInvariants:
