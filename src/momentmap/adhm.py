@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from .checks import check_int
 from .errors import ConsistencyError, SolverError, ValidationError
 from .linalg import as_complex_matrix, hermitian_basis, sup_norm
 from .quiver import Arrow, Quiver, matrix_from_json, matrix_to_json
@@ -74,13 +75,9 @@ class ADHMData:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        n, k = self.N, self.k
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise ValidationError(f"N must be an integer >= 1, got {n!r}")
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-            raise ValidationError(f"k must be an integer >= 1, got {k!r}")
-        object.__setattr__(self, "N", int(n))
-        object.__setattr__(self, "k", int(k))
+        n, k = check_int("N", self.N, 1), check_int("k", self.k, 1)
+        object.__setattr__(self, "N", n)
+        object.__setattr__(self, "k", k)
         for name, mat, shape in (
             ("alpha", self.alpha, (n, n)),
             ("beta", self.beta, (n, n)),
@@ -128,8 +125,7 @@ def build_adhm_quiver(k: int) -> Quiver:
     ValidationError
         If ``k < 1``.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ValidationError(f"k must be an integer >= 1, got {k!r}")
+    k = check_int("k", k, 1)
     arrows = [Arrow("alpha", "1", "1"), Arrow("beta", "1", "1")]
     arrows += [Arrow(f"a{i}", "2", "1") for i in range(1, k + 1)]
     arrows += [Arrow(f"b{i}", "1", "2") for i in range(1, k + 1)]
@@ -300,10 +296,7 @@ def solve_adhm(
         If no run converges within ``opts.max_iters``; carries the best
         residual pair in ``details``.
     """
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
-        raise ValidationError(f"N must be an integer >= 1, got {N!r}")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ValidationError(f"k must be an integer >= 1, got {k!r}")
+    N, k = check_int("N", N, 1), check_int("k", k, 1)
     eta = float(eta)
     if not np.isfinite(eta):
         raise ValidationError("eta must be finite")
@@ -319,7 +312,7 @@ def solve_adhm(
     best = (np.inf, np.inf)
     restarts = 5
     for attempt in range(restarts):
-        data, outcome = _solve_once(int(N), int(k), eta, rng, opts)
+        data, outcome = _solve_once(N, k, eta, rng, opts)
         if data is not None:
             logger.info(
                 "deformed system solved: N=%d k=%d eta=%g attempt=%d", N, k, eta, attempt
@@ -387,11 +380,7 @@ def adhm_from_json(text: str):
     missing = {"N", "k", "eta", "alpha", "beta", "a", "b"} - set(obj)
     if missing:
         raise ValidationError(f"problem JSON missing keys {sorted(missing)}")
-    n, k = obj["N"], obj["k"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"N must be an integer >= 1, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValidationError(f"k must be an integer >= 1, got {k!r}")
+    n, k = check_int("N", obj["N"], 1), check_int("k", obj["k"], 1)
     data = ADHMData(
         n,
         k,

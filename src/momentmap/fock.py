@@ -27,6 +27,7 @@ rational arithmetic; :func:`gram_matrix` assembles the positivity witness
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .checks import check_exponents, check_int, compositions, is_integer
 from .errors import ValidationError
 
 __all__ = [
@@ -55,13 +57,29 @@ RationalLike = Union[int, Fraction]
 def _as_fraction(x, name: str = "value") -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+    if is_integer(x):
         return Fraction(int(x))
     if isinstance(x, float):
         if not np.isfinite(x):
             raise ValidationError(f"{name} must be finite")
         return Fraction(x)
     raise ValidationError(f"{name} must be rational or float, got {type(x).__name__}")
+
+
+def _coerced(op):
+    """Binary operator applied to ``type(self).of(other)``; returns
+    ``NotImplemented`` when ``other`` does not coerce."""
+
+    @functools.wraps(op)
+    def coerced(self, other):
+        if type(other) is not type(self):
+            try:
+                other = type(self).of(other)
+            except ValidationError:
+                return NotImplemented
+        return op(self, other)
+
+    return coerced
 
 
 @dataclass(frozen=True)
@@ -80,25 +98,16 @@ class QQi:
             return QQi(_as_fraction(x.real), _as_fraction(x.imag))
         return QQi(_as_fraction(x))
 
-    def __add__(self, other):
-        try:
-            o = QQi.of(other)
-        except ValidationError:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         return QQi(self.re + o.re, self.im + o.im)
 
-    def __sub__(self, other):
-        try:
-            o = QQi.of(other)
-        except ValidationError:
-            return NotImplemented
-        return QQi(self.re - o.re, self.im - o.im)
+    @_coerced
+    def __sub__(self, o):
+        return self + -o
 
-    def __mul__(self, other):
-        try:
-            o = QQi.of(other)
-        except ValidationError:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         return QQi(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __radd__ = __add__
@@ -151,66 +160,50 @@ class HbarPoly:
             return x
         if isinstance(x, NormalForm):
             raise ValidationError("cannot coerce a NormalForm to a coefficient")
-        return HbarPoly({0: QQi.of(x)})
+        return _poly({0: QQi.of(x)})
 
     @staticmethod
     def hbar(power: int = 1) -> "HbarPoly":
         return HbarPoly({power: _ONE})
 
-    def __add__(self, other):
-        try:
-            o = HbarPoly.of(other)
-        except ValidationError:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         out = dict(self.coeffs)
         for deg, val in o.coeffs.items():
             out[deg] = out.get(deg, _ZERO) + val
-        return HbarPoly(out)
+        return _poly(out)
 
-    def __sub__(self, other):
-        try:
-            o = HbarPoly.of(other)
-        except ValidationError:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for deg, val in o.coeffs.items():
-            out[deg] = out.get(deg, _ZERO) - val
-        return HbarPoly(out)
+    @_coerced
+    def __sub__(self, o):
+        return self + -o
 
-    def __mul__(self, other):
-        try:
-            o = HbarPoly.of(other)
-        except ValidationError:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         out: dict[int, QQi] = {}
         for d1, v1 in self.coeffs.items():
             for d2, v2 in o.coeffs.items():
                 d = d1 + d2
                 out[d] = out.get(d, _ZERO) + v1 * v2
-        return HbarPoly(out)
+        return _poly(out)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __neg__(self) -> "HbarPoly":
-        return HbarPoly({d: -v for d, v in self.coeffs.items()})
+        return _poly({d: -v for d, v in self.coeffs.items()})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
+    @_coerced
     def __eq__(self, other) -> bool:
-        if not isinstance(other, HbarPoly):
-            try:
-                other = HbarPoly.of(other)
-            except ValidationError:
-                return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
     def conjugate(self) -> "HbarPoly":
-        return HbarPoly({d: v.conjugate() for d, v in self.coeffs.items()})
+        return _poly({d: v.conjugate() for d, v in self.coeffs.items()})
 
     def evaluate_exact(self, hbar: RationalLike) -> QQi:
         """Exact evaluation at a rational ``hbar``."""
@@ -228,23 +221,22 @@ class HbarPoly:
         )
 
 
+def _poly(coeffs: dict) -> HbarPoly:
+    """Trusted construction from ``int -> QQi`` coefficients this module
+    built itself: zeros are dropped, nothing is checked."""
+    p = object.__new__(HbarPoly)
+    object.__setattr__(p, "coeffs", {d: v for d, v in coeffs.items() if v})
+    return p
+
+
 _ZERO_POLY = HbarPoly({})
+_HBAR = HbarPoly.hbar()
 
 
 def _check_index(n: int, i: int) -> int:
-    if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not 1 <= i <= n:
+    if not is_integer(i) or not 1 <= i <= n:
         raise ValidationError(f"generator index must be in 1..{n}, got {i!r}")
     return int(i)
-
-
-def _check_exponents(n: int, m, name: str) -> Tuple[int, ...]:
-    m = tuple(m)
-    if len(m) != n:
-        raise ValidationError(f"{name}: expected {n} exponents, got {len(m)}")
-    for e in m:
-        if not isinstance(e, (int, np.integer)) or isinstance(e, bool) or e < 0:
-            raise ValidationError(f"{name}: exponents must be integers >= 0, got {e!r}")
-    return tuple(int(e) for e in m)
 
 
 @dataclass(frozen=True)
@@ -260,9 +252,7 @@ class Word:
     scalar: QQi = _ONE
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
-            raise ValidationError(f"n must be an integer >= 1, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_int("n", self.n, 1))
         letters = []
         for letter in self.letters:
             idx, star = letter
@@ -294,12 +284,10 @@ class NormalForm:
     terms: Mapping[Tuple[Tuple[int, ...], Tuple[int, ...]], HbarPoly]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
-            raise ValidationError(f"n must be an integer >= 1, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_int("n", self.n, 1))
         clean = {}
         for (k, l), coeff in self.terms.items():
-            key = (_check_exponents(self.n, k, "k"), _check_exponents(self.n, l, "l"))
+            key = (check_exponents(self.n, k, "k"), check_exponents(self.n, l, "l"))
             coeff = HbarPoly.of(coeff)
             if coeff:
                 clean[key] = coeff
@@ -324,19 +312,16 @@ class NormalForm:
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = out.get(key, _ZERO_POLY) + coeff
-        return NormalForm(self.n, out)
+        return _form(self.n, out)
 
     def __sub__(self, other: "NormalForm") -> "NormalForm":
         if not isinstance(other, NormalForm) or other.n != self.n:
             return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, _ZERO_POLY) - coeff
-        return NormalForm(self.n, out)
+        return self + other.scale(-1)
 
     def scale(self, factor) -> "NormalForm":
         f = HbarPoly.of(factor)
-        return NormalForm(self.n, {key: coeff * f for key, coeff in self.terms.items()})
+        return _form(self.n, {key: coeff * f for key, coeff in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -365,8 +350,8 @@ class NormalForm:
             add((bumped, l), coeff)
             if l[i] >= 1:
                 lowered = l[:i] + (l[i] - 1,) + l[i + 1 :]
-                add((k, lowered), coeff * HbarPoly.hbar() * l[i])
-        return NormalForm(self.n, out)
+                add((k, lowered), coeff * _HBAR * l[i])
+        return _form(self.n, out)
 
     def mul_zstar(self, i: int) -> "NormalForm":
         """Right multiplication by ``z_i*`` (already normal-ordered)."""
@@ -376,7 +361,7 @@ class NormalForm:
             bumped = l[:i] + (l[i] + 1,) + l[i + 1 :]
             key = (k, bumped)
             out[key] = out.get(key, _ZERO_POLY) + coeff
-        return NormalForm(self.n, out)
+        return _form(self.n, out)
 
     def lmul_z(self, i: int) -> "NormalForm":
         """Left multiplication by ``z_i`` (no reordering needed)."""
@@ -386,14 +371,23 @@ class NormalForm:
             bumped = k[:i] + (k[i] + 1,) + k[i + 1 :]
             key = (bumped, l)
             out[key] = out.get(key, _ZERO_POLY) + coeff
-        return NormalForm(self.n, out)
+        return _form(self.n, out)
 
     def star(self) -> "NormalForm":
         """Involution: ``(z^k (z*)^l)* = z^l (z*)^k`` with conjugated
         coefficients (``hbar`` is real)."""
-        return NormalForm(
+        return _form(
             self.n, {(l, k): coeff.conjugate() for (k, l), coeff in self.terms.items()}
         )
+
+
+def _form(n: int, terms: dict) -> NormalForm:
+    """Trusted construction from exponent-pair -> :class:`HbarPoly` terms this
+    module built itself: zero coefficients are dropped, nothing is checked."""
+    f = object.__new__(NormalForm)
+    object.__setattr__(f, "n", n)
+    object.__setattr__(f, "terms", {key: c for key, c in terms.items() if c})
+    return f
 
 
 def normal_order(w: Union[Word, Iterable[Word]]) -> NormalForm:
@@ -444,13 +438,13 @@ def nf_multiply(x: NormalForm, y: NormalForm) -> NormalForm:
                         * math.comb(l1[i], ji)
                         * math.comb(k2[i], ji)
                     )
-                coeff = base * HbarPoly.hbar(sum(j)) * factor
+                coeff = base * _poly({sum(j): _ONE}) * factor
                 key = (
                     tuple(k1[i] + k2[i] - j[i] for i in range(n)),
                     tuple(l1[i] + l2[i] - j[i] for i in range(n)),
                 )
                 out[key] = out.get(key, _ZERO_POLY) + coeff
-    return NormalForm(n, out)
+    return _form(n, out)
 
 
 def _cartesian(ranges):
@@ -496,7 +490,7 @@ def dbar(x: NormalForm, i: int) -> NormalForm:
         lowered = l[:i] + (l[i] - 1,) + l[i + 1 :]
         key = (k, lowered)
         out[key] = out.get(key, _ZERO_POLY) + coeff * l[i]
-    return NormalForm(x.n, out)
+    return _form(x.n, out)
 
 
 def _monomials_up_to(n: int, degree: int):
@@ -504,17 +498,8 @@ def _monomials_up_to(n: int, degree: int):
     in graded lexicographic order."""
     out = []
     for total in range(degree + 1):
-        out.extend(sorted(_compositions(n, total), reverse=True))
+        out.extend(sorted(compositions(n, total), reverse=True))
     return out
-
-
-def _compositions(n: int, total: int):
-    if n == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(n - 1, total - head):
-            yield (head,) + tail
 
 
 def verify_state_identities(n: int, max_degree: int, rho, hbar) -> float:
@@ -531,10 +516,7 @@ def verify_state_identities(n: int, max_degree: int, rho, hbar) -> float:
     return value is ``0.0`` exactly; with floats it is the max absolute
     deviation.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(max_degree, (int, np.integer)) or max_degree < 0:
-        raise ValidationError(f"max_degree must be an integer >= 0, got {max_degree!r}")
+    n, max_degree = check_int("n", n, 1), check_int("max_degree", max_degree, 0)
     exact = not (isinstance(rho, float) or isinstance(hbar, float))
     rho_frac = _as_fraction(rho, "rho")
     hbar_frac = _as_fraction(hbar, "hbar")
@@ -566,8 +548,7 @@ def verify_state_identities(n: int, max_degree: int, rho, hbar) -> float:
 def gram_matrix(n: int, max_degree: int, rho, hbar) -> np.ndarray:
     """Positivity witness: ``G[p, q] = state(m_p m_q*)`` over all normal
     monomials of total degree up to ``max_degree``, evaluated numerically."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
+    n, max_degree = check_int("n", n, 1), check_int("max_degree", max_degree, 0)
     exponents = _monomials_up_to(n, max_degree)
     basis = [
         (k, l)

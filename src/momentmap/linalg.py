@@ -93,14 +93,14 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def as_hermitian(a, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
+def as_hermitian(a, name: str = "matrix") -> np.ndarray:
     """Validate Hermitian symmetry (relative tolerance) and symmetrize exactly.
 
     Raises
     ------
     ValidationError
         If ``a`` is not square or deviates from its conjugate transpose by more
-        than ``tol`` relative to its size.
+        than ``DEFAULT_TOL`` relative to its size.
     """
     arr = as_complex_matrix(a, name=name)
     n, m = arr.shape
@@ -109,30 +109,30 @@ def as_hermitian(a, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarra
     if n == 0:
         return arr
     defect = sup_norm(arr - arr.conj().T)
-    if defect > tol * max(1.0, sup_norm(arr)):
+    if defect > DEFAULT_TOL * max(1.0, sup_norm(arr)):
         raise ValidationError(f"{name}: not Hermitian (defect {defect:.3e})")
     return hermitian_part(arr)
 
 
-def as_positive_definite(a, tol: float = DEFAULT_TOL, name: str = "metric") -> np.ndarray:
+def as_positive_definite(a, name: str = "metric") -> np.ndarray:
     """Validate that ``a`` is Hermitian positive-definite.
 
-    The smallest eigenvalue must exceed ``tol`` times the largest magnitude
-    eigenvalue (relative check, matching the constructor tolerance).
+    The smallest eigenvalue must exceed ``DEFAULT_TOL`` times the largest
+    magnitude eigenvalue (relative check, matching the constructor tolerance).
     """
-    h = as_hermitian(a, tol=tol, name=name)
+    h = as_hermitian(a, name=name)
     if h.shape[0] == 0:
         return h
     w = np.linalg.eigvalsh(h)
     scale = max(1.0, float(np.max(np.abs(w))))
-    if w[0] <= tol * scale:
+    if w[0] <= DEFAULT_TOL * scale:
         raise ValidationError(
             f"{name}: not positive-definite (smallest eigenvalue {w[0]:.6e})"
         )
     return h
 
 
-def hermitian_exp(s, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_exp(s) -> np.ndarray:
     """Matrix exponential of a Hermitian matrix via unitary eigendecomposition.
 
     Returns a Hermitian positive-definite matrix.
@@ -142,7 +142,7 @@ def hermitian_exp(s, tol: float = DEFAULT_TOL) -> np.ndarray:
     NumericError
         If the eigendecomposition fails to converge or the result overflows.
     """
-    return _hermitian_exp(as_hermitian(s, tol=tol, name="exponent"))
+    return _hermitian_exp(as_hermitian(s, name="exponent"))
 
 
 def _hermitian_exp(h: np.ndarray) -> np.ndarray:
@@ -169,7 +169,7 @@ def _exp_from_eigh(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def hermitian_log(h, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_log(h) -> np.ndarray:
     """Matrix logarithm of a Hermitian positive-definite matrix.
 
     Inverse of :func:`hermitian_exp` on its range to ~1e-10 relative.
@@ -179,7 +179,7 @@ def hermitian_log(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     ValidationError
         If ``h`` has a non-positive eigenvalue.
     """
-    pd = as_positive_definite(h, tol=tol, name="metric")
+    pd = as_positive_definite(h, name="metric")
     if pd.shape[0] == 0:
         return pd
     w, u = np.linalg.eigh(pd)

@@ -155,19 +155,21 @@ def king_residual(
     eta = validate_eta(q, eta)
     metric = _check_vertex_family(rep, metric, "metric")
     h = {v: as_hermitian(metric[v], name=f"metric[{v!r}]") for v in q.vertices}
-    return _king_residual(rep, h, eta, w)
-
-
-def _king_residual(rep, h, eta, w) -> MomentResidual:
-    """Unchecked kernel of :func:`king_residual`: ``h`` holds Hermitian blocks
-    of the right sizes, ``eta`` and the weights ``w`` are validated."""
-    q = rep.quiver
     for v in q.vertices:
         # Strict positivity only: metrics produced by exp(s) can be extremely
         # ill-conditioned along near-divergent flows yet remain valid inputs.
         if h[v].size and np.linalg.eigvalsh(h[v])[0] <= 0:
             raise ValidationError(f"metric[{v!r}]: not positive-definite")
+    return _king_residual(rep, h, eta, w)
 
+
+def _king_residual(rep, h, eta, w) -> MomentResidual:
+    """Unchecked kernel of :func:`king_residual`: ``h`` holds Hermitian
+    positive-definite blocks of the right sizes, ``eta`` and the weights ``w``
+    are validated.  Positivity is not re-checked: for ``h = exp(s)`` it holds
+    by construction, though ``eigvalsh`` can return a non-positive eigenvalue
+    once ``exp(s)`` is numerically indefinite."""
+    q = rep.quiver
     blocks = {
         v: -eta[v] * np.eye(rep.dims[v], dtype=np.complex128) for v in q.vertices
     }

@@ -32,6 +32,7 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .checks import check_exponents, check_int, compositions
 from .errors import ConsistencyError, SolverError, ValidationError
 from .solver import SolveOptions
 
@@ -54,18 +55,6 @@ Monomial = Tuple[int, ...]
 
 #: Default number of top levels whose weights are frozen to Bargmann values.
 DEFAULT_BUFFER = 2
-
-
-def _check_monomial(n: int, m, name: str) -> Monomial:
-    m = tuple(m)
-    if len(m) != n:
-        raise ValidationError(f"{name}: expected {n} exponents, got {len(m)}")
-    out = []
-    for e in m:
-        if not isinstance(e, (int, np.integer)) or isinstance(e, bool) or e < 0:
-            raise ValidationError(f"{name}: exponents must be integers >= 0, got {e!r}")
-        out.append(int(e))
-    return tuple(out)
 
 
 def _grlex_key(m: Monomial):
@@ -102,7 +91,7 @@ class FockTruncation:
 
     def index(self, m) -> int:
         """Basis position of a monomial."""
-        key = _check_monomial(self.n, m, "monomial")
+        key = check_exponents(self.n, m, "monomial")
         try:
             return self._lookup[key]
         except KeyError:
@@ -115,7 +104,7 @@ class FockTruncation:
 
     def contains(self, m) -> bool:
         """Module membership (ignoring the degree cap)."""
-        key = _check_monomial(self.n, m, "monomial")
+        key = check_exponents(self.n, m, "monomial")
         if self.generators is None:
             return True
         return any(all(k >= g for k, g in zip(key, gen)) for gen in self.generators)
@@ -147,18 +136,14 @@ def build_truncation(
         On bad counts, an empty generator list, a cap below the largest
         generator degree, or an empty top level.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(D, (int, np.integer)) or isinstance(D, bool) or D < 0:
-        raise ValidationError(f"D must be an integer >= 0, got {D!r}")
-    n, D = int(n), int(D)
+    n, D = check_int("n", n, 1), check_int("D", D, 0)
 
     if isinstance(module, str):
         if module != "full":
             raise ValidationError(f"unknown module kind {module!r}")
         generators: Optional[Tuple[Monomial, ...]] = None
     else:
-        gens = [_check_monomial(n, g, "generator") for g in module]
+        gens = [check_exponents(n, g, "generator") for g in module]
         if not gens:
             raise ValidationError("monomial ideal needs at least one generator")
         max_deg = max(sum(g) for g in gens)
@@ -176,7 +161,7 @@ def build_truncation(
     basis = [
         m
         for total in range(D + 1)
-        for m in sorted(_compositions(n, total), key=_grlex_key)
+        for m in sorted(compositions(n, total), key=_grlex_key)
         if member(m)
     ]
     if not any(sum(m) == D for m in basis):
@@ -199,15 +184,6 @@ def build_truncation(
     up.flags.writeable = False
     down.flags.writeable = False
     return FockTruncation(n, generators, D, tuple(basis), up, down)
-
-
-def _compositions(n: int, total: int):
-    if n == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(n - 1, total - head):
-            yield (head,) + tail
 
 
 @dataclass(frozen=True)
@@ -287,9 +263,7 @@ def nekrasov_residual(
     hbar = float(hbar)
     if not np.isfinite(hbar):
         raise ValidationError("hbar must be finite")
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-        raise ValidationError(f"m must be an integer >= 1, got {m!r}")
-    vec = _residual_vector(t, c.values, hbar, int(m))
+    vec = _residual_vector(t, c.values, hbar, check_int("m", m, 1))
     return {
         mono: float(vec[p])
         for p, mono in enumerate(t.basis)
@@ -350,11 +324,8 @@ def solve_nekrasov(
         raise ValidationError(f"hbar must be positive, got {hbar}")
     if m is None:
         m = t.n
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-        raise ValidationError(f"m must be an integer >= 1, got {m!r}")
-    m = int(m)
-    if not isinstance(buffer, (int, np.integer)) or isinstance(buffer, bool) or buffer < 0:
-        raise ValidationError(f"buffer must be an integer >= 0, got {buffer!r}")
+    m = check_int("m", m, 1)
+    buffer = check_int("buffer", buffer, 0)
     if opts is None:
         opts = SolveOptions()
 
@@ -539,11 +510,8 @@ def truncation_from_json(text: str):
         module = module["ideal"]
     elif module != "full":
         raise ValidationError(f'module must be "full" or an ideal object, got {module!r}')
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
-    t = build_truncation(n, module, obj["D"])
+    t = build_truncation(obj["n"], module, obj["D"])
     hbar = float(obj["hbar"])
-    m = obj.get("m", n)
+    m = obj.get("m", t.n)
     buffer = obj.get("buffer", DEFAULT_BUFFER)
     return t, hbar, m, buffer

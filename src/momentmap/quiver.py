@@ -26,6 +26,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .checks import check_int
 from .errors import ParseError, ValidationError
 from .linalg import as_complex_matrix, as_positive_definite
 
@@ -88,13 +89,7 @@ def validate_dims(quiver: Quiver, dims: Mapping[str, int]) -> dict[str, int]:
         raise ValidationError(
             f"dimension vector keys {sorted(dims)} != vertices {sorted(quiver.vertices)}"
         )
-    out = {}
-    for v in quiver.vertices:
-        d = dims[v]
-        if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 0:
-            raise ValidationError(f"dimension at vertex {v!r} must be an integer >= 0, got {d!r}")
-        out[v] = int(d)
-    return out
+    return {v: check_int(f"dimension at vertex {v!r}", dims[v], 0) for v in quiver.vertices}
 
 
 def validate_eta(quiver: Quiver, eta: Mapping[str, float]) -> dict[str, float]:

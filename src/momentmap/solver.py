@@ -36,6 +36,7 @@ from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
+from .checks import check_int
 from .errors import MomentMapError, SolverError, ValidationError
 # ``hermitian_exp`` is unused here but stays importable from this module.
 from .linalg import (
@@ -98,8 +99,7 @@ class SolveOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValidationError(f"tol must be positive, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_int("max_iters", self.max_iters, 1)
 
 
 class HistoryRecord(NamedTuple):
@@ -157,30 +157,23 @@ def _family_sup(x: Mapping[str, np.ndarray]) -> float:
 
 
 def extract_destabilizer(
-    trajectory: list[Mapping[str, np.ndarray]],
+    s: Mapping[str, np.ndarray],
     rep: Representation,
     eta: Mapping[str, float],
 ) -> DestabilizerCandidate:
-    """Read a destabilizing-subspace candidate off a divergent flow trajectory.
+    """Read a destabilizing-subspace candidate off the final displacement
+    family ``s`` of a divergent flow.
 
-    The final displacement family is normalized to unit operator norm and its
-    eigenvalues are pooled across vertices; the split is taken below the
-    midpoint of the largest gap in the pooled spectrum (below the median
-    eigenvalue if all gaps agree to 1e-9).  Requires at least one trajectory
-    point with ``max_v ||s_v|| >= 1``.
+    ``s`` is normalized to unit operator norm and its eigenvalues are pooled
+    across vertices; the split is taken below the midpoint of the largest gap
+    in the pooled spectrum (below the median eigenvalue if all gaps agree to
+    1e-9).  Requires ``max_v ||s_v|| >= 1``.
     """
-    if not trajectory:
-        raise ValidationError("extract_destabilizer: empty trajectory")
     eta = validate_eta(rep.quiver, eta)
-    if max(_family_sup(point) for point in trajectory) < 1.0:
-        raise ValidationError(
-            "extract_destabilizer: no trajectory point with ||s|| >= 1"
-        )
-    last = trajectory[-1]
-    norm = _family_sup(last)
-    if norm == 0.0:
-        raise ValidationError("extract_destabilizer: final displacement is zero")
-    sigma = {v: np.asarray(last[v]) / norm for v in rep.quiver.vertices}
+    norm = _family_sup(s)
+    if norm < 1.0:
+        raise ValidationError("extract_destabilizer: displacement has ||s|| < 1")
+    sigma = {v: np.asarray(s[v]) / norm for v in rep.quiver.vertices}
 
     eigen = {}
     pooled = []
@@ -567,7 +560,7 @@ def solve_metric(
 
         # --- termination checks: escape first, then stationarity
         if _family_sup(s) > DIVERGENCE_NORM:
-            cert = extract_destabilizer([s], rep, eta)
+            cert = extract_destabilizer(s, rep, eta)
             return finish(SolveStatus.DIVERGED, residual, metric, cert)
         if residual <= opts.tol and last_step_sup <= STATIONARY_STEP * max(
             1.0, _family_sup(s)

@@ -1,5 +1,6 @@
 """Tests for the exact normal-ordering layer and the Gaussian state."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -301,6 +302,10 @@ class TestStateIdentities:
         with pytest.raises(ValidationError):
             verify_state_identities(1, -1, Fraction(1), Fraction(1))
 
+    def test_bool_degree_rejected(self):
+        with pytest.raises(ValidationError, match="max_degree"):
+            verify_state_identities(1, True, Fraction(1), Fraction(1))
+
 
 class TestGramMatrix:
     def test_two_variable_gram_is_positive(self):
@@ -318,3 +323,48 @@ class TestGramMatrix:
     def test_validation(self):
         with pytest.raises(ValidationError):
             gram_matrix(0, 4, 1, 1)
+
+    @pytest.mark.parametrize("degree", [-1, 2.5, True])
+    def test_degree_validated(self, degree):
+        with pytest.raises(ValidationError, match="max_degree"):
+            gram_matrix(1, degree, 1, 1)
+
+
+class TestValidateOnce:
+    def test_checks_do_not_grow_with_terms(self, monkeypatch):
+        from momentmap import checks
+
+        def form(degree):
+            terms = {
+                (k, l): HbarPoly({0: QQi(Fraction(1 + sum(k), 1 + sum(l))), 1: 1})
+                for k in [(a, b) for a in range(degree) for b in range(degree)]
+                for l in [(1, 0), (0, 2)]
+            }
+            return NormalForm(2, terms)
+
+        small, large = form(2), form(5)
+        calls = []
+        original = checks.check_exponents
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "momentmap" or name.startswith("momentmap."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counted)
+        post_init = HbarPoly.__post_init__
+
+        def counted_post_init(self):
+            calls.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(HbarPoly, "__post_init__", counted_post_init)
+        product = nf_multiply(small, small.star())
+        few = len(calls)
+        assert len(product.terms) > len(small.terms)
+        nf_multiply(large, large.star())
+        assert len(large.terms) > 3 * len(small.terms)
+        assert len(calls) - few == few

@@ -9,6 +9,7 @@ from momentmap.linalg import _frechet_exp, _hermitian_exp, hermitian_basis, herm
 from momentmap.moment import (
     KahlerData,
     _kempf_ness_gradient,
+    _king_residual,
     gauge_variation,
     hamiltonian_projector,
     hamiltonian_trivial,
@@ -216,6 +217,24 @@ class TestKingResidual:
         for v in q.vertices:
             hm = metric[v] @ res.blocks[v]
             assert sup_norm(hm - hm.conj().T) < 1e-12 * max(1.0, sup_norm(hm))
+
+    def test_positivity_checked_at_the_boundary_only(self):
+        # exp(s) is positive-definite by construction, but at ||s|| = 20 in a
+        # rotated frame its computed spectrum can dip below zero; the kernel
+        # the solver runs must still return, the public function still checks.
+        rep = random_representation(loop_quiver(), {"v": 3}, seed=4)
+        eta, weights = {"v": 0.0}, {"l0": 1.0}
+        indefinite = 0
+        for seed in range(8):
+            u = rand_unitary(np.random.default_rng(seed), 3)
+            s = u @ np.diag([-20.0, 0.0, 20.0]) @ u.conj().T
+            h = _hermitian_exp(0.5 * (s + s.conj().T))
+            indefinite += bool(np.linalg.eigvalsh(h)[0] <= 0)
+            res = _king_residual(rep, {"v": h}, eta, weights)
+            assert np.all(np.isfinite(res.blocks["v"]))
+        assert indefinite > 0
+        with pytest.raises(ValidationError, match="not positive-definite"):
+            king_residual(rep, {"v": -np.eye(3)}, eta)
 
     def test_bad_weights_rejected(self):
         q = loop_quiver()

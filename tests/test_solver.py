@@ -116,6 +116,11 @@ class TestSolveOptions:
         with pytest.raises(ValidationError):
             SolveOptions(max_iters=0)
 
+    @pytest.mark.parametrize("budget", [2.5, True])
+    def test_rejects_non_integer_iteration_budget(self, budget):
+        with pytest.raises(ValidationError, match="max_iters"):
+            SolveOptions(max_iters=budget)
+
     @pytest.mark.parametrize(
         "knob", ["backtrack", "armijo_c", "divergence_norm", "newton_switch_tol", "seed"]
     )
@@ -392,22 +397,22 @@ class TestValidationAtBoundary:
 
 
 class TestExtractDestabilizer:
-    def test_empty_trajectory_rejected(self):
+    def test_zero_family_rejected(self):
         rep = loop_rep(np.zeros((2, 2)))
         with pytest.raises(ValidationError):
-            extract_destabilizer([], rep, {"v": 0.0})
+            extract_destabilizer({"v": np.zeros((2, 2))}, rep, {"v": 0.0})
 
     def test_small_trajectory_rejected(self):
         rep = loop_rep(np.zeros((2, 2)))
         s = {"v": 0.1 * np.eye(2)}
         with pytest.raises(ValidationError):
-            extract_destabilizer([s], rep, {"v": 0.0})
+            extract_destabilizer(s, rep, {"v": 0.0})
 
     def test_jordan_flow_yields_kernel_line(self):
         rep = loop_rep([[0.0, 1.0], [0.0, 0.0]])
         # the canonical escaping displacement contracts the kernel line e1
-        traj = [{"v": np.diag([-t, t]).astype(complex)} for t in (1.0, 5.0, 20.0)]
-        cert = extract_destabilizer(traj, rep, {"v": 0.0})
+        s = {"v": np.diag([-20.0, 20.0]).astype(complex)}
+        cert = extract_destabilizer(s, rep, {"v": 0.0})
         assert cert.subdims == {"v": 1}
         npt.assert_allclose(np.abs(cert.basis["v"][:, 0]), [1.0, 0.0], atol=1e-12)
         assert cert.slope == 0.0
@@ -426,7 +431,7 @@ class TestExtractDestabilizer:
             s = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
         else:
             s = s * (1.5 / norm)
-        cert = extract_destabilizer([{"v": s}], rep, {"v": 0.0})
+        cert = extract_destabilizer({"v": s}, rep, {"v": 0.0})
         assert cert.slope <= 0.0
 
     def test_planted_positive_slope_subrep_detected(self):
@@ -448,8 +453,8 @@ class TestExtractDestabilizer:
         rep = Representation(
             loop_quiver(), {"v": 3}, {"l0": np.zeros((3, 3), dtype=complex)}
         )
-        traj = [{"v": np.diag([-1.0, 0.0, 1.0]).astype(complex)}]
-        cert = extract_destabilizer(traj, rep, {"v": 0.0})
+        s = {"v": np.diag([-1.0, 0.0, 1.0]).astype(complex)}
+        cert = extract_destabilizer(s, rep, {"v": 0.0})
         # pooled spectrum {-1, 0, 1}: gaps tie, split strictly below median 0
         assert cert.subdims == {"v": 1}
 
@@ -457,8 +462,8 @@ class TestExtractDestabilizer:
         rep = Representation(
             loop_quiver(), {"v": 3}, {"l0": np.zeros((3, 3), dtype=complex)}
         )
-        traj = [{"v": np.diag([-1.0, -0.8, 1.0]).astype(complex)}]
-        cert = extract_destabilizer(traj, rep, {"v": 0.0})
+        s = {"v": np.diag([-1.0, -0.8, 1.0]).astype(complex)}
+        cert = extract_destabilizer(s, rep, {"v": 0.0})
         # largest gap between -0.8 and 1.0: two eigenvalues fall below
         assert cert.subdims == {"v": 2}
 
