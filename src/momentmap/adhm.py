@@ -132,18 +132,20 @@ def build_adhm_quiver(k: int) -> Quiver:
     return Quiver(("1", "2"), tuple(arrows))
 
 
-def _moments(mats, eta: float):
-    """Both moment maps of the blocks ``mats = [alpha, beta, a, b]``."""
+def _moments(mats, adj, eta_id: np.ndarray):
+    """Both moment maps of the blocks ``mats = [alpha, beta, a, b]``, given
+    their conjugate transposes ``adj`` and ``eta_id = eta Id``."""
     al, be, a, b = mats
+    al_h, be_h, a_h, b_h = adj
     mu_c = al @ be - be @ al + a @ b
     mu_r = (
-        al.conj().T @ al
-        - al @ al.conj().T
-        + be.conj().T @ be
-        - be @ be.conj().T
-        + b.conj().T @ b
-        - a @ a.conj().T
-        - eta * np.eye(al.shape[0])
+        al_h @ al
+        - al @ al_h
+        + be_h @ be
+        - be @ be_h
+        + b_h @ b
+        - a @ a_h
+        - eta_id
     )
     return mu_c, mu_r
 
@@ -161,7 +163,8 @@ def adhm_residuals(d: ADHMData, eta: float) -> ADHMResiduals:
     eta = float(eta)
     if not np.isfinite(eta):
         raise ValidationError("eta must be finite")
-    mu_c, mu_r = _moments([d.alpha, d.beta, d.a, d.b], eta)
+    mats = [d.alpha, d.beta, d.a, d.b]
+    mu_c, mu_r = _moments(mats, [m.conj().T for m in mats], eta * np.eye(d.N))
 
     herm_defect = sup_norm(mu_r - mu_r.conj().T)
     if herm_defect > 1e-12 * max(1.0, sup_norm(mu_r)):
@@ -185,34 +188,43 @@ def adhm_residuals(d: ADHMData, eta: float) -> ADHMResiduals:
     )
 
 
-def _objective(mats, eta: float):
-    mu_c, mu_r = _moments(mats, eta)
-    value = float(np.sum(np.abs(mu_c) ** 2) + np.sum(np.abs(mu_r) ** 2))
-    return value, mu_c, mu_r
-
-
-def _gradients(mats, mu_c: np.ndarray, mu_r: np.ndarray):
-    """Conjugate-coordinate gradients of the merged objective.
+def _gradients(mats, adj, mu_c: np.ndarray, mu_r: np.ndarray) -> np.ndarray:
+    """Conjugate-coordinate gradient of the merged objective, packed.
 
     The first-order expansion is ``df = 2 Re sum tr(G_x^dagger dx)`` over the
     four matrix blocks, so ``-G`` is the steepest-descent direction.
     """
     al, be, a, b = mats
-    g_al = (mu_c @ be.conj().T - be.conj().T @ mu_c) + 2.0 * (al @ mu_r - mu_r @ al)
-    g_be = (al.conj().T @ mu_c - mu_c @ al.conj().T) + 2.0 * (be @ mu_r - mu_r @ be)
-    g_a = mu_c @ b.conj().T - 2.0 * mu_r @ a
-    g_b = a.conj().T @ mu_c + 2.0 * b @ mu_r
-    return g_al, g_be, g_a, g_b
+    al_h, be_h, a_h, b_h = adj
+    g_al = (mu_c @ be_h - be_h @ mu_c) + 2.0 * (al @ mu_r - mu_r @ al)
+    g_be = (al_h @ mu_c - mu_c @ al_h) + 2.0 * (be @ mu_r - mu_r @ be)
+    g_a = mu_c @ b_h - 2.0 * mu_r @ a
+    g_b = a_h @ mu_c + 2.0 * b @ mu_r
+    return _pack([g_al, g_be, g_a, g_b])
 
 
 def _pack(mats) -> np.ndarray:
     return np.concatenate([m.ravel() for m in mats])
 
 
+def _layout(shapes):
+    """``(slice, shape)`` of each block of a vector packed by :func:`_pack`."""
+    out, start = [], 0
+    for rows, cols in shapes:
+        out.append((slice(start, start + rows * cols), (rows, cols)))
+        start += rows * cols
+    return out
+
+
+def _blocks(vec: np.ndarray, layout):
+    """Views of the packed vector ``vec`` as its matrix blocks."""
+    return [vec[part].reshape(shape) for part, shape in layout]
+
+
 def _solve_once(
     N: int, k: int, eta: float, rng: np.random.Generator, opts: SolveOptions
 ):
-    """One gradient-descent run from a random start on the raw blocks
+    """One gradient-descent run from a random start on the packed blocks
     ``[alpha, beta, a, b]``; returns ``(data, residuals)`` on success, or
     ``(None, best)`` on stall.  Only the returned solution is validated."""
 
@@ -220,17 +232,22 @@ def _solve_once(
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     scale = max(1.0, abs(eta)) ** 0.5
-    mats = [
-        0.5 * scale * rand((N, N)),
-        0.5 * scale * rand((N, N)),
-        0.5 * scale * rand((N, k)),
-        0.5 * scale * rand((k, N)),
-    ]
+    shapes = ((N, N), (N, N), (N, k), (k, N))
+    layout = _layout(shapes)
+    x = _pack([0.5 * scale * rand(shape) for shape in shapes])
+    eta_id = eta * np.eye(N)
 
-    value, mu_c, mu_r = _objective(mats, eta)
-    grads = _gradients(mats, mu_c, mu_r)
+    def evaluate(vec):
+        mats = _blocks(vec, layout)
+        adj = [m.conj().T for m in mats]
+        mu_c, mu_r = _moments(mats, adj, eta_id)
+        value = float((np.abs(mu_c) ** 2).sum() + (np.abs(mu_r) ** 2).sum())
+        return value, mats, adj, mu_c, mu_r
+
+    value, mats, adj, mu_c, mu_r = evaluate(x)
+    g = _gradients(mats, adj, mu_c, mu_r)
     best = (sup_norm(mu_c), sup_norm(mu_r))
-    prev_mats = prev_grads = None
+    x_prev = g_prev = None
 
     for _ in range(opts.max_iters):
         sup_c, sup_r = sup_norm(mu_c), sup_norm(mu_r)
@@ -240,14 +257,15 @@ def _solve_once(
             d = ADHMData(N, k, *mats)
             return d, adhm_residuals(d, eta)
 
-        gnorm2 = float(sum(np.sum(np.abs(g) ** 2) for g in grads))
+        # block by block: one sum over the whole vector would round differently
+        gnorm2 = float(sum(sq.sum() for sq in _blocks(np.abs(g) ** 2, layout)))
         if gnorm2 == 0.0:
             break
-        if prev_mats is None:
+        if x_prev is None:
             alpha = 1.0 / max(1.0, gnorm2**0.5)
         else:
-            dx = _pack(mats) - _pack(prev_mats)
-            dg = _pack(grads) - _pack(prev_grads)
+            dx = x - x_prev
+            dg = g - g_prev
             den = float(np.real(np.vdot(dx, dg)))
             alpha = (
                 float(np.real(np.vdot(dx, dx))) / den
@@ -257,17 +275,19 @@ def _solve_once(
         deriv = -2.0 * gnorm2
         accepted = None
         while alpha > 1e-18:
-            trial = [m - alpha * g for m, g in zip(mats, grads)]
-            t_value, t_mu_c, t_mu_r = _objective(trial, eta)
+            trial = x - alpha * g
+            evaluated = evaluate(trial)
+            t_value = evaluated[0]
             if np.isfinite(t_value) and t_value <= value + ARMIJO_C * alpha * deriv:
-                accepted = (trial, t_value, t_mu_c, t_mu_r)
+                accepted = evaluated
                 break
             alpha *= BACKTRACK
         if accepted is None:
             break
-        prev_mats, prev_grads = mats, grads
-        mats, value, mu_c, mu_r = accepted
-        grads = _gradients(mats, mu_c, mu_r)
+        x_prev, g_prev = x, g
+        x = trial
+        value, mats, adj, mu_c, mu_r = accepted
+        g = _gradients(mats, adj, mu_c, mu_r)
     return None, best
 
 

@@ -50,6 +50,7 @@ from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
+from .checks import check_int
 from .errors import ConsistencyError, ValidationError
 from .linalg import as_hermitian, metric_adjoint, sup_norm
 from .moment import KahlerData, _check_vertex_family, _weights, identity_metric
@@ -554,9 +555,7 @@ def xi_welldefinedness_probe(
     float
         Maximum absolute deviation ``|Xi(left) - Xi(right)|`` observed.
     """
-    samples = int(samples)
-    if samples < 0:
-        raise ValidationError(f"samples must be >= 0, got {samples}")
+    samples = check_int("samples", samples, 0)
     if quiver is None:
         quiver = _default_probe_quiver()
     rng = np.random.default_rng(seed)

@@ -146,11 +146,11 @@ class HbarPoly:
     def __post_init__(self) -> None:
         clean = {}
         for deg, val in self.coeffs.items():
-            if not isinstance(deg, int) or deg < 0:
+            if not is_integer(deg) or deg < 0:
                 raise ValidationError(f"bad hbar degree {deg!r}")
             val = QQi.of(val)
             if val:
-                clean[deg] = val
+                clean[int(deg)] = val
         object.__setattr__(self, "coeffs", clean)
 
     @staticmethod

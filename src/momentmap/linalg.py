@@ -70,11 +70,15 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def sup_norm(a) -> float:
-    """Operator (spectral) norm; 0.0 for empty matrices."""
+    """Operator (spectral) norm of a matrix; 0.0 for empty matrices.
+
+    The largest singular value, from the same LAPACK call that
+    ``np.linalg.norm(a, 2)`` makes, without its axis handling.
+    """
     arr = np.asarray(a, dtype=np.complex128)
     if arr.size == 0:
         return 0.0
-    return float(np.linalg.norm(arr, 2))
+    return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
 def frobenius_norm(a) -> float:

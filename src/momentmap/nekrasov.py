@@ -19,7 +19,9 @@ infinity) and runs damped Newton in ``x = log c`` on the remaining sites.
 
 :func:`commutator_diagnostics` measures how far the truncated shifts are
 from the exact commutation relations ``[Z_i^dagger, Z_j] = hbar delta_ij``
-level by level, which quantifies the trace-class boundary behaviour.
+level by level, which quantifies the trace-class boundary behaviour.  The
+commutators preserve the degree, so they are assembled one level block at a
+time from the neighbor tables: memory is O(level^2), not O(size^2).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .checks import check_exponents, check_int, compositions
-from .errors import ConsistencyError, SolverError, ValidationError
+from .errors import ConsistencyError, NumericError, SolverError, ValidationError
 from .solver import SolveOptions
 
 __all__ = [
@@ -224,28 +226,60 @@ def fock_weights(t: FockTruncation, hbar: float) -> DiagonalMetric:
     return DiagonalMetric(t, vals)
 
 
-def _residual_vector(
-    t: FockTruncation, values: np.ndarray, hbar: float, m: int
-) -> np.ndarray:
-    """Residuals over the full basis; boundary sites hold NaN."""
-    size = len(t.basis)
-    out = np.full(size, np.nan)
-    for p, mono in enumerate(t.basis):
-        if sum(mono) >= t.D:
-            continue
-        total = -hbar * m
-        for i in range(t.n):
-            iu = t.up[i, p]
-            if iu < 0:
-                raise ConsistencyError(
-                    f"missing upward neighbor for interior site {mono} in variable {i + 1}"
-                )
-            total += values[iu] / values[p]
-            idn = t.down[i, p]
-            if idn >= 0:
-                total -= values[p] / values[idn]
-        out[p] = total
-    return out
+def _stencil(t: FockTruncation, sites: np.ndarray):
+    """Upward and downward neighbor tables ``(n, len(sites))`` of ``sites``.
+
+    Every site below the cap has all its upward neighbors; a table without
+    them is inconsistent and raises :class:`ConsistencyError`.
+    """
+    up = t.up[:, sites]
+    missing = np.argwhere(up.T < 0)
+    if missing.size:
+        q, i = missing[0]
+        raise ConsistencyError(
+            f"missing upward neighbor for interior site {t.basis[sites[q]]} "
+            f"in variable {i + 1}"
+        )
+    return up, t.down[:, sites]
+
+
+def _residual_kernel(values, sites, up, down, hbar, m, columns=None):
+    """Residuals ``r(mu)`` at ``sites`` and, given ``columns``, their
+    Jacobian in ``log c``; unchecked.
+
+    ``up`` and ``down`` come from :func:`_stencil`.  Each site sums
+    ``-hbar m, +up_1, -down_1, +up_2, ...`` in this order, a missing downward
+    neighbor contributing nothing.  ``columns`` maps a basis index to its
+    Jacobian column, ``-1`` for a frozen weight, and ``sites`` must then be
+    the free sites in column order.  The diagonal accumulates
+    ``-up_1, -down_1, ...``; every off-diagonal cell receives one ratio.
+    """
+    vs = values[sites]
+    total = np.full(len(sites), -hbar * m)
+    jac = None
+    if columns is not None:
+        rows = np.arange(len(sites))
+        jac = np.zeros((len(sites), len(sites)))
+        diag = np.zeros(len(sites))
+    for i in range(len(up)):
+        ratio_up = values[up[i]] / vs
+        total += ratio_up
+        has = down[i] >= 0
+        below = down[i][has]
+        ratio_dn = vs[has] / values[below]
+        total[has] -= ratio_dn
+        if jac is not None:
+            diag -= ratio_up
+            diag[has] -= ratio_dn
+            col = columns[up[i]]
+            hit = col >= 0
+            jac[rows[hit], col[hit]] = ratio_up[hit]
+            col = columns[below]
+            hit = col >= 0
+            jac[rows[has][hit], col[hit]] = ratio_dn[hit]
+    if jac is not None:
+        jac[rows, rows] = diag
+    return total, jac
 
 
 def nekrasov_residual(
@@ -263,12 +297,12 @@ def nekrasov_residual(
     hbar = float(hbar)
     if not np.isfinite(hbar):
         raise ValidationError("hbar must be finite")
-    vec = _residual_vector(t, c.values, hbar, check_int("m", m, 1))
-    return {
-        mono: float(vec[p])
-        for p, mono in enumerate(t.basis)
-        if not np.isnan(vec[p])
-    }
+    m = check_int("m", m, 1)
+    interior = np.array(
+        [p for p, mono in enumerate(t.basis) if sum(mono) < t.D], dtype=np.int64
+    )
+    vec, _ = _residual_kernel(c.values, interior, *_stencil(t, interior), hbar, m)
+    return {t.basis[p]: float(v) for p, v in zip(interior, vec) if not np.isnan(v)}
 
 
 def residual_profile(residuals: Mapping[Monomial, float]) -> list:
@@ -329,12 +363,18 @@ def solve_nekrasov(
     if opts is None:
         opts = SolveOptions()
 
-    free = [p for p, mono in enumerate(t.basis) if sum(mono) <= t.D - buffer - 1]
-    if not free:
+    free = np.array(
+        [p for p, mono in enumerate(t.basis) if sum(mono) <= t.D - buffer - 1],
+        dtype=np.int64,
+    )
+    if not free.size:
         raise ValidationError(
             f"no free sites: cap D={t.D} with buffer {buffer} freezes everything"
         )
-    free_pos = {p: q for q, p in enumerate(free)}
+    up, down = _stencil(t, free)
+    columns = np.full(len(t.basis), -1, dtype=np.int64)
+    columns[free] = np.arange(len(free))
+    eye = np.eye(len(free))
 
     boundary = fock_weights(t, hbar).values
     x = np.log(boundary)
@@ -346,31 +386,7 @@ def solve_nekrasov(
         return vals
 
     def residual_and_jacobian(xvec):
-        values = assemble(xvec)
-        r = np.empty(len(free))
-        jac = np.zeros((len(free), len(free)))
-        for q, p in enumerate(free):
-            total = -hbar * m
-            for i in range(t.n):
-                iu = t.up[i, p]
-                if iu < 0:
-                    raise ConsistencyError(
-                        f"missing upward neighbor for free site {t.basis[p]}"
-                    )
-                ratio_up = values[iu] / values[p]
-                total += ratio_up
-                jac[q, q] -= ratio_up
-                if iu in free_pos:
-                    jac[q, free_pos[iu]] += ratio_up
-                idn = t.down[i, p]
-                if idn >= 0:
-                    ratio_dn = values[p] / values[idn]
-                    total -= ratio_dn
-                    jac[q, q] -= ratio_dn
-                    if idn in free_pos:
-                        jac[q, free_pos[idn]] += ratio_dn
-            r[q] = total
-        return r, jac
+        return _residual_kernel(assemble(xvec), free, up, down, hbar, m, columns)
 
     r, jac = residual_and_jacobian(x)
     best_sup = float(np.max(np.abs(r)))
@@ -388,12 +404,12 @@ def solve_nekrasov(
             return metric
         norm = float(np.linalg.norm(r))
         lam = max(1e-12, norm)
+        normal = jac.T @ jac
+        rhs = -jac.T @ r
         stepped = False
         for _ in range(10):
-            lhs = jac.T @ jac + lam * np.eye(len(free))
-            rhs = -jac.T @ r
             try:
-                delta = np.linalg.solve(lhs, rhs)
+                delta = np.linalg.solve(normal + lam * eye, rhs)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -449,6 +465,13 @@ def commutator_diagnostics(
     sqrt(c_{mu+e_i}/c_mu) e_{mu+e_i}``, and annihilate the top level (the
     truncation cut); deviations at the highest levels reflect that cut while
     interior levels witness the equation.
+
+    Raises
+    ------
+    ValidationError
+        On a foreign metric or a non-finite ``hbar``.
+    NumericError
+        If a shift weight ``sqrt(c_{mu+e_i}/c_mu)`` overflows.
     """
     if not isinstance(t, FockTruncation):
         raise ValidationError(f"expected FockTruncation, got {type(t).__name__}")
@@ -458,36 +481,61 @@ def commutator_diagnostics(
     if not np.isfinite(hbar):
         raise ValidationError("hbar must be finite")
 
-    size = len(t.basis)
-    shifts = []
-    for i in range(t.n):
-        z = np.zeros((size, size))
-        for p in range(size):
-            iu = t.up[i, p]
-            if iu >= 0:
-                z[iu, p] = np.sqrt(c.values[iu] / c.values[p])
-        shifts.append(z)
+    shifted = np.nonzero(t.up >= 0)
+    with np.errstate(over="ignore"):
+        ratios = c.values[t.up[shifted]] / c.values[shifted[1]]
+    if not np.all(np.isfinite(ratios)):
+        raise NumericError("a shift weight sqrt(c_{mu+e_i}/c_mu) is not finite")
+    weights = np.zeros(t.up.shape)
+    weights[shifted] = np.sqrt(ratios)
 
     levels = t.levels()
-    level_sites = {lev: [p for p, mono in enumerate(t.basis) if sum(mono) == lev] for lev in levels}
+    degree = np.array([sum(mono) for mono in t.basis])
+    level_sites = [np.flatnonzero(degree == lev) for lev in levels]
+    local = np.empty(len(t.basis), dtype=np.int64)
+    for block_sites in level_sites:
+        local[block_sites] = np.arange(len(block_sites))
+
     per_pair = {}
-    max_per_level = [0.0] * len(levels)
     for i in range(t.n):
         for j in range(t.n):
-            m = shifts[i].T @ shifts[j] - shifts[j] @ shifts[i].T
-            if i == j:
-                m = m - hbar * np.eye(size)
-            sups = []
-            for li, lev in enumerate(levels):
-                sites = level_sites[lev]
-                block = m[np.ix_(sites, sites)]
-                sup = float(np.linalg.norm(block, 2)) if block.size else 0.0
-                sups.append(sup)
-                max_per_level[li] = max(max_per_level[li], sup)
-            per_pair[(i + 1, j + 1)] = tuple(sups)
+            per_pair[(i + 1, j + 1)] = tuple(
+                _level_sup(t, weights, block_sites, local, i, j, hbar)
+                for block_sites in level_sites
+            )
+    max_per_level = np.max(list(per_pair.values()), axis=0)
     return CommutatorReport(
-        levels=levels, per_pair=per_pair, max_per_level=tuple(max_per_level)
+        levels=levels,
+        per_pair=per_pair,
+        max_per_level=tuple(float(v) for v in max_per_level),
     )
+
+
+def _level_sup(t, weights, sites, local, i, j, hbar) -> float:
+    """Sup norm of ``[Z_i^dagger, Z_j] - hbar delta_ij Id`` on one level.
+
+    Both products preserve the degree, and each of their columns ``p`` has at
+    most one entry: ``Z_i^dagger Z_j`` at row ``down_i(up_j(p))`` and
+    ``Z_j Z_i^dagger`` at row ``up_j(down_i(p))``.  Filling those entries
+    gives the level block of the dense products exactly.
+    """
+    size = len(sites)
+    cols = np.arange(size)
+    forward = np.zeros((size, size))
+    raised = t.up[j, sites]
+    rows = np.where(raised >= 0, t.down[i, raised], -1)
+    hit = rows >= 0
+    forward[local[rows[hit]], cols[hit]] = weights[i, rows[hit]] * weights[j, sites[hit]]
+    backward = np.zeros((size, size))
+    lowered = t.down[i, sites]
+    rows = np.where(lowered >= 0, t.up[j, lowered], -1)
+    hit = rows >= 0
+    via = lowered[hit]
+    backward[local[rows[hit]], cols[hit]] = weights[j, via] * weights[i, via]
+    block = forward - backward
+    if i == j:
+        block = block - hbar * np.eye(size)
+    return float(np.linalg.norm(block, 2))
 
 
 def truncation_from_json(text: str):

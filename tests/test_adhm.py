@@ -16,7 +16,7 @@ from momentmap.adhm import (
 from momentmap.errors import SolverError, ValidationError
 from momentmap.moment import king_residual
 from momentmap.quiver import Representation, validate_dims
-from momentmap.solver import SolveOptions
+from momentmap.solver import ARMIJO_C, BACKTRACK, SolveOptions
 
 
 def rand_data(N, k, rng, scale=1.0):
@@ -35,6 +35,102 @@ def embed_as_representation(d: ADHMData):
         mats[f"a{i}"] = d.a[:, i - 1 : i]
         mats[f"b{i}"] = d.b[i - 1 : i, :]
     return Representation(q, {"1": d.N, "2": 1}, mats)
+
+
+def reference_solve_adhm(N, k, eta, seed, opts):
+    """``solve_adhm`` on a list of blocks: conjugate transposes taken at every
+    use, both moment maps and the gradient rebuilt block by block, and the
+    step difference packed twice per iteration.  Returns the solution blocks,
+    or the best residual pair of all starts."""
+
+    def moments(mats):
+        al, be, a, b = mats
+        mu_c = al @ be - be @ al + a @ b
+        mu_r = (
+            al.conj().T @ al
+            - al @ al.conj().T
+            + be.conj().T @ be
+            - be @ be.conj().T
+            + b.conj().T @ b
+            - a @ a.conj().T
+            - eta * np.eye(al.shape[0])
+        )
+        value = float(np.sum(np.abs(mu_c) ** 2) + np.sum(np.abs(mu_r) ** 2))
+        return value, mu_c, mu_r
+
+    def gradients(mats, mu_c, mu_r):
+        al, be, a, b = mats
+        return (
+            (mu_c @ be.conj().T - be.conj().T @ mu_c) + 2.0 * (al @ mu_r - mu_r @ al),
+            (al.conj().T @ mu_c - mu_c @ al.conj().T) + 2.0 * (be @ mu_r - mu_r @ be),
+            mu_c @ b.conj().T - 2.0 * mu_r @ a,
+            a.conj().T @ mu_c + 2.0 * b @ mu_r,
+        )
+
+    def pack(mats):
+        return np.concatenate([m.ravel() for m in mats])
+
+    def sup(m):
+        return float(np.linalg.norm(m, 2))
+
+    def run(rng):
+        def rand(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        scale = max(1.0, abs(eta)) ** 0.5
+        mats = [
+            0.5 * scale * rand((N, N)),
+            0.5 * scale * rand((N, N)),
+            0.5 * scale * rand((N, k)),
+            0.5 * scale * rand((k, N)),
+        ]
+        value, mu_c, mu_r = moments(mats)
+        grads = gradients(mats, mu_c, mu_r)
+        best = (sup(mu_c), sup(mu_r))
+        prev_mats = prev_grads = None
+        for _ in range(opts.max_iters):
+            sup_c, sup_r = sup(mu_c), sup(mu_r)
+            if max(sup_c, sup_r) < max(best):
+                best = (sup_c, sup_r)
+            if sup_c <= opts.tol and sup_r <= opts.tol:
+                return mats, best
+            gnorm2 = float(sum(np.sum(np.abs(g) ** 2) for g in grads))
+            if gnorm2 == 0.0:
+                break
+            if prev_mats is None:
+                alpha = 1.0 / max(1.0, gnorm2**0.5)
+            else:
+                dx = pack(mats) - pack(prev_mats)
+                dg = pack(grads) - pack(prev_grads)
+                den = float(np.real(np.vdot(dx, dg)))
+                alpha = (
+                    float(np.real(np.vdot(dx, dx))) / den
+                    if den > 0
+                    else 1.0 / max(1.0, gnorm2**0.5)
+                )
+            accepted = None
+            while alpha > 1e-18:
+                trial = [m - alpha * g for m, g in zip(mats, grads)]
+                t_value, t_mu_c, t_mu_r = moments(trial)
+                if np.isfinite(t_value) and t_value <= value + ARMIJO_C * alpha * (-2.0 * gnorm2):
+                    accepted = (trial, t_value, t_mu_c, t_mu_r)
+                    break
+                alpha *= BACKTRACK
+            if accepted is None:
+                break
+            prev_mats, prev_grads = mats, grads
+            mats, value, mu_c, mu_r = accepted
+            grads = gradients(mats, mu_c, mu_r)
+        return None, best
+
+    rng = np.random.default_rng(seed)
+    best = (np.inf, np.inf)
+    for _ in range(5):
+        mats, outcome = run(rng)
+        if mats is not None:
+            return mats
+        best = min(best, outcome)
+    return best
 
 
 class TestADHMData:
@@ -214,6 +310,31 @@ class TestSolveAdhm:
             solve_adhm(0, 1, 1.0)
         with pytest.raises(ValidationError):
             solve_adhm(1, 1, float("nan"))
+
+
+class TestBitwiseParity:
+    """The packed descent loop against the list-based reference."""
+
+    @pytest.mark.parametrize(
+        "N,k,seed",
+        [(1, 1, 0), (2, 1, 74845286), (6, 3, 1799343698), (7, 2, 708093469), (12, 4, 1617120057)],
+    )
+    def test_solution(self, N, k, seed):
+        want = reference_solve_adhm(N, k, 1.0, seed, SolveOptions())
+        got = solve_adhm(N, k, 1.0, seed=seed)
+        for name, block in zip(("alpha", "beta", "a", "b"), want):
+            assert getattr(got, name).tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("N,k,seed,iters", [(3, 2, 0, 2), (4, 2, 5, 30)])
+    def test_stalled_run_details(self, N, k, seed, iters):
+        opts = SolveOptions(max_iters=iters)
+        best_c, best_r = reference_solve_adhm(N, k, 1.0, seed, opts)
+        with pytest.raises(SolverError) as err:
+            solve_adhm(N, k, 1.0, seed=seed, opts=opts)
+        assert err.value.details == {"best_sup_c": best_c, "best_sup_r": best_r}
+        assert np.array(list(err.value.details.values())).tobytes() == np.array(
+            [best_c, best_r]
+        ).tobytes()
 
 
 class TestStabilizerDimension:

@@ -476,6 +476,14 @@ class TestWelldefinednessProbe:
         with pytest.raises(ValidationError):
             xi_welldefinedness_probe(-1)
 
+    @pytest.mark.parametrize("samples", [True, 1.9])
+    def test_non_integer_samples_rejected(self, samples):
+        with pytest.raises(ValidationError, match="samples"):
+            xi_welldefinedness_probe(samples)
+
+    def test_numpy_integer_sample_count(self):
+        assert xi_welldefinedness_probe(np.int64(3), seed=7) == xi_welldefinedness_probe(3, seed=7)
+
     def test_deviation_small(self):
         assert xi_welldefinedness_probe(150, seed=11) < 1e-12
 

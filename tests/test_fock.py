@@ -100,6 +100,16 @@ class TestHbarPoly:
         with pytest.raises(ValidationError):
             HbarPoly({-1: QQi.of(1)})
 
+    @pytest.mark.parametrize("degree", [True, False, 1.0, "1"])
+    def test_non_integer_degree_rejected(self, degree):
+        with pytest.raises(ValidationError, match="hbar degree"):
+            HbarPoly({degree: QQi.of(1)})
+
+    def test_numpy_integer_degree_stored_as_int(self):
+        p = HbarPoly({np.int64(2): QQi.of(1)})
+        assert p == HbarPoly.hbar(2) == HbarPoly.hbar(np.int32(2))
+        assert [type(d) for d in p.coeffs] == [int]
+
     def test_equality_against_scalars_and_junk(self):
         assert HbarPoly.of(3) == 3
         assert not (HbarPoly.of(3) == "three")

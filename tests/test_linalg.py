@@ -63,6 +63,15 @@ class TestConstructors:
         assert sup_norm(e) == 0.0
         assert frobenius_norm(e) == 0.0
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 2), (2, 5), (12, 12)])
+    def test_sup_norm_bitwise_equal_to_norm_2(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for a in (
+            rng.standard_normal(shape),
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        ):
+            assert sup_norm(a) == float(np.linalg.norm(a.astype(np.complex128), 2))
+
 
 class TestExpLog:
     def test_exp_zero_is_identity(self):

@@ -1,11 +1,13 @@
 """Tests for truncated metric equations on monomial modules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from momentmap.errors import SolverError, ValidationError
+from momentmap import nekrasov
+from momentmap.errors import NumericError, SolverError, ValidationError
 from momentmap.nekrasov import (
     CommutatorReport,
     DiagonalMetric,
@@ -18,6 +20,113 @@ from momentmap.nekrasov import (
     truncation_from_json,
 )
 from momentmap.solver import SolveOptions
+
+
+def reference_commutator_sups(t, c, hbar):
+    """Per-pair, per-level sups from dense ``size x size`` shift matrices and
+    their dense products."""
+    size = len(t.basis)
+    shifts = []
+    for i in range(t.n):
+        z = np.zeros((size, size))
+        for p in range(size):
+            iu = t.up[i, p]
+            if iu >= 0:
+                z[iu, p] = np.sqrt(c.values[iu] / c.values[p])
+        shifts.append(z)
+    level_sites = [
+        [p for p, mono in enumerate(t.basis) if sum(mono) == lev] for lev in t.levels()
+    ]
+    per_pair = {}
+    for i in range(t.n):
+        for j in range(t.n):
+            m = shifts[i].T @ shifts[j] - shifts[j] @ shifts[i].T
+            if i == j:
+                m = m - hbar * np.eye(size)
+            per_pair[(i + 1, j + 1)] = tuple(
+                float(np.linalg.norm(m[np.ix_(sites, sites)], 2)) for sites in level_sites
+            )
+    return per_pair
+
+
+def reference_residual_and_jacobian(t, values, free, hbar, m):
+    """Residual and Jacobian in ``log c`` at the free sites, one site and one
+    variable at a time."""
+    free_pos = {p: q for q, p in enumerate(free)}
+    r = np.empty(len(free))
+    jac = np.zeros((len(free), len(free)))
+    for q, p in enumerate(free):
+        total = -hbar * m
+        for i in range(t.n):
+            iu = t.up[i, p]
+            ratio_up = values[iu] / values[p]
+            total += ratio_up
+            jac[q, q] -= ratio_up
+            if iu in free_pos:
+                jac[q, free_pos[iu]] += ratio_up
+            idn = t.down[i, p]
+            if idn >= 0:
+                ratio_dn = values[p] / values[idn]
+                total -= ratio_dn
+                jac[q, q] -= ratio_dn
+                if idn in free_pos:
+                    jac[q, free_pos[idn]] += ratio_dn
+        r[q] = total
+    return r, jac
+
+
+def reference_solve(t, hbar, m, opts=SolveOptions(), buffer=2):
+    """``solve_nekrasov`` with the loop residual and the normal equations
+    rebuilt on every damping retry; returns the log-weights reached."""
+    free = [p for p, mono in enumerate(t.basis) if sum(mono) <= t.D - buffer - 1]
+    boundary = fock_weights(t, hbar).values
+    x = np.log(boundary)
+
+    def residual_and_jacobian(xvec):
+        vals = boundary.copy()
+        vals[free] = np.exp(xvec[free])
+        return reference_residual_and_jacobian(t, vals, free, hbar, m)
+
+    r, jac = residual_and_jacobian(x)
+    for _ in range(opts.max_iters):
+        if float(np.max(np.abs(r))) <= opts.tol:
+            break
+        norm = float(np.linalg.norm(r))
+        lam = max(1e-12, norm)
+        stepped = False
+        for _ in range(10):
+            lhs = jac.T @ jac + lam * np.eye(len(free))
+            rhs = -jac.T @ r
+            try:
+                delta = np.linalg.solve(lhs, rhs)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            x_new = x.copy()
+            x_new[free] += delta
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_new, jac_new = residual_and_jacobian(x_new)
+            if np.all(np.isfinite(r_new)) and np.linalg.norm(r_new) < norm:
+                x, r, jac = x_new, r_new, jac_new
+                stepped = True
+                break
+            lam *= 10.0
+        if not stepped:
+            break
+    return x
+
+
+#: (n, module, D): the full ring, the maximal ideal and <z1 z2> (<z> for n = 1).
+PARITY_CASES = [
+    (1, "full", 12),
+    (1, [(1,)], 12),
+    (2, "full", 9),
+    (2, [(1, 0), (0, 1)], 10),
+    (2, [(1, 1)], 10),
+    (3, "full", 6),
+    (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 7),
+    (3, [(1, 1, 0)], 7),
+]
 
 
 class TestBuildTruncation:
@@ -310,3 +419,106 @@ class TestProblemJson:
         ]:
             with pytest.raises(ValidationError):
                 truncation_from_json(text)
+
+
+class TestBitwiseParity:
+    """The vectorised kernels against the dense and loop references."""
+
+    @pytest.mark.parametrize("n,module,D", PARITY_CASES)
+    def test_commutator_diagnostics(self, n, module, D):
+        t = build_truncation(n, module, D)
+        hbar = 0.8
+        metrics = [fock_weights(t, hbar), solve_nekrasov(t, hbar, n)]
+        for c in metrics:
+            rep = commutator_diagnostics(t, c, hbar)
+            want = reference_commutator_sups(t, c, hbar)
+            assert list(rep.per_pair) == list(want)
+            for pair, sups in want.items():
+                assert np.array(rep.per_pair[pair]).tobytes() == np.array(sups).tobytes()
+            top = np.max(np.array(list(want.values())), axis=0)
+            assert np.array(rep.max_per_level).tobytes() == top.tobytes()
+
+    @pytest.mark.parametrize("n,module,D", PARITY_CASES)
+    def test_residual_and_jacobian(self, n, module, D):
+        t = build_truncation(n, module, D)
+        hbar, m = 0.8, n + 1
+        free = np.array([p for p, mono in enumerate(t.basis) if sum(mono) <= D - 3])
+        columns = np.full(len(t.basis), -1)
+        columns[free] = np.arange(len(free))
+        stencil = nekrasov._stencil(t, free)
+        rng = np.random.default_rng(D)
+        for values in (
+            fock_weights(t, hbar).values,
+            np.exp(rng.standard_normal(len(t.basis))),
+        ):
+            want_r, want_jac = reference_residual_and_jacobian(t, values, free, hbar, m)
+            r, jac = nekrasov._residual_kernel(values, free, *stencil, hbar, m, columns)
+            assert r.tobytes() == want_r.tobytes()
+            assert jac.tobytes() == want_jac.tobytes()
+            res = nekrasov_residual(t, DiagonalMetric(t, values), hbar, m)
+            interior = [p for p, mono in enumerate(t.basis) if sum(mono) < D]
+            want_res, _ = reference_residual_and_jacobian(t, values, interior, hbar, m)
+            assert list(res) == [t.basis[p] for p in interior]
+            assert np.array(list(res.values())).tobytes() == want_res.tobytes()
+
+    @pytest.mark.parametrize("n,module,D", PARITY_CASES)
+    def test_solution(self, n, module, D):
+        t = build_truncation(n, module, D)
+        want = np.exp(reference_solve(t, 0.8, n))
+        got = solve_nekrasov(t, 0.8, n).values
+        free = [p for p, mono in enumerate(t.basis) if sum(mono) <= D - 3]
+        assert got[free].tobytes() == want[free].tobytes()
+
+    def test_jacobian_matches_central_differences(self):
+        t = build_truncation(2, [(1, 1)], 9)
+        hbar, m = 0.8, 2
+        free = np.array([p for p, mono in enumerate(t.basis) if sum(mono) <= 6])
+        columns = np.full(len(t.basis), -1)
+        columns[free] = np.arange(len(free))
+        stencil = nekrasov._stencil(t, free)
+        x = np.random.default_rng(3).standard_normal(len(t.basis))
+
+        def residual(xvec):
+            return nekrasov._residual_kernel(np.exp(xvec), free, *stencil, hbar, m)[0]
+
+        _, jac = nekrasov._residual_kernel(np.exp(x), free, *stencil, hbar, m, columns)
+        eps = 1e-6
+        for q, p in enumerate(free):
+            step = np.zeros_like(x)
+            step[p] = eps
+            fd = (residual(x + step) - residual(x - step)) / (2 * eps)
+            np.testing.assert_allclose(jac[:, q], fd, rtol=1e-7, atol=1e-7)
+
+
+class TestCommutatorMemoryAndOverflow:
+    def test_peak_memory_grows_with_the_level_not_the_basis(self):
+        # 1,891 basis monomials; one dense shift matrix alone takes 28.6 MB.
+        t = build_truncation(2, "full", 60)
+        c = fock_weights(t, 1.0)
+        tracemalloc.start()
+        try:
+            commutator_diagnostics(t, c, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("n,D", [(1, 3), (2, 2)])
+    def test_overflowing_shift_weight_raises(self, n, D):
+        t = build_truncation(n, "full", D)
+        values = np.ones(len(t.basis))
+        values[0], values[1] = 1e-300, 1e300
+        with pytest.raises(NumericError, match="shift weight"):
+            commutator_diagnostics(t, DiagonalMetric(t, values), 1.0)
+
+    def test_nan_sup_is_not_hidden_by_the_maximum(self, monkeypatch):
+        original = nekrasov._level_sup
+
+        def nan_on_last_pair(t, weights, sites, local, i, j, hbar):
+            sup = original(t, weights, sites, local, i, j, hbar)
+            return float("nan") if (i, j) == (1, 1) else sup
+
+        monkeypatch.setattr(nekrasov, "_level_sup", nan_on_last_pair)
+        t = build_truncation(2, "full", 3)
+        rep = commutator_diagnostics(t, fock_weights(t, 1.0), 1.0)
+        assert all(np.isnan(v) for v in rep.max_per_level)
