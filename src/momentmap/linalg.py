@@ -165,12 +165,13 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exp_from_eigh(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Exponential of the Hermitian matrix with eigenpairs ``(w, u)``."""
+    """Exponential of the Hermitian matrix with eigenpairs ``(w, u)``; on
+    stacks of eigenpairs, the stack of exponentials."""
     ew = np.exp(w)
     if not np.all(np.isfinite(ew)):
         raise NumericError("matrix exponential overflowed")
-    out = (u * ew) @ u.conj().T
-    return 0.5 * (out + out.conj().T)
+    out = (u * ew[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
 def hermitian_log(h) -> np.ndarray:
@@ -254,26 +255,29 @@ def _frechet_exp(hs: np.ndarray, hx: np.ndarray) -> np.ndarray:
 
 
 def _exp_spectrum(h: np.ndarray):
-    """``(exp(h), eigenvectors, Frechet kernel)`` of Hermitian ``h``, one eigh."""
-    if h.shape[0] == 0:
+    """``(exp(h), eigenvectors, Frechet kernel)`` of Hermitian ``h``, one eigh;
+    on a stack of matrices, one stacked eigh and stacked results."""
+    if h.shape[-1] == 0:
         return h, None, None
     w, u = _eigh(h)
     return _exp_from_eigh(w, u), u, _frechet_kernel(w)
 
 
 def _frechet_kernel(w: np.ndarray) -> np.ndarray:
-    """Divided differences ``(e^a - e^b)/(a - b)`` over the eigenvalues ``w``."""
-    diff = w[:, None] - w[None, :]
-    avg = 0.5 * (w[:, None] + w[None, :])
+    """Divided differences ``(e^a - e^b)/(a - b)`` over the eigenvalues ``w``
+    (over its last axis, for a stack)."""
+    diff = w[..., :, None] - w[..., None, :]
+    avg = 0.5 * (w[..., :, None] + w[..., None, :])
     return np.exp(avg) * _sinch(0.5 * diff)
 
 
 def _frechet_apply(u: np.ndarray, kernel: np.ndarray, hx: np.ndarray) -> np.ndarray:
     """Derivative of exp along Hermitian ``hx`` at the base point with
-    eigenvectors ``u`` and :func:`_frechet_kernel` ``kernel``."""
-    xt = u.conj().T @ hx @ u
-    out = u @ (kernel * xt) @ u.conj().T
-    return 0.5 * (out + out.conj().T)
+    eigenvectors ``u`` and :func:`_frechet_kernel` ``kernel``; stacked
+    arguments broadcast over their leading axes."""
+    uh = u.conj().swapaxes(-1, -2)
+    out = u @ (kernel * (uh @ hx @ u)) @ uh
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
 def hermitian_basis(n: int) -> list[np.ndarray]:
@@ -302,14 +306,15 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
 
 def _hermitian_coords(m: np.ndarray) -> np.ndarray:
     """``Re tr(m c)`` for the matrices ``c`` of :func:`hermitian_basis`, in
-    order; bitwise equal to ``float(np.trace(m @ c).real)``."""
-    n = m.shape[0]
+    order, along the last axis for a stack ``m``; bitwise equal to
+    ``float(np.trace(m @ c).real)``."""
+    n = m.shape[-1]
     upper = ~np.tri(n, dtype=bool)
-    up, lo = m[upper], m.T[upper]
-    out = np.empty(n * n)
-    out[:n] = m.diagonal().real
-    out[n::2] = up.real * _INV_SQRT2 + lo.real * _INV_SQRT2
-    out[n + 1::2] = up.imag * _INV_SQRT2 - lo.imag * _INV_SQRT2
+    up, lo = m[..., upper], m.swapaxes(-1, -2)[..., upper]
+    out = np.empty(m.shape[:-2] + (n * n,))
+    out[..., :n] = m.diagonal(0, -2, -1).real
+    out[..., n::2] = up.real * _INV_SQRT2 + lo.real * _INV_SQRT2
+    out[..., n + 1::2] = up.imag * _INV_SQRT2 - lo.imag * _INV_SQRT2
     return out
 
 

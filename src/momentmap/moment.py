@@ -263,7 +263,9 @@ def _spectra(rep, s) -> dict:
 
 def _gradient_block(rep, v, spectra, eta, w) -> np.ndarray:
     """Block ``G_v`` of :func:`kempf_ness_gradient` from the :func:`_spectra`
-    of ``v`` and of its neighbours; arrows are summed in quiver order."""
+    of ``v`` and of its neighbours; arrows are summed in quiver order.  Where
+    some of those spectra are stacks (one vertex perturbed along several
+    directions), the block is the stack of blocks."""
     d = rep.dims[v]
     if d == 0:
         return np.zeros((0, 0), dtype=np.complex128)
@@ -279,11 +281,11 @@ def _gradient_block(rep, v, spectra, eta, w) -> np.ndarray:
             qv = qv + w[a.name] * (t.conj().T @ spectra[a.dst][0][0] @ t)
     (_, u_pos, k_pos), (_, u_neg, k_neg) = spectra[v]
     g = (
-        _frechet_apply(u_pos, k_pos, 0.5 * (p + p.conj().T))
-        - _frechet_apply(u_neg, k_neg, 0.5 * (qv + qv.conj().T))
+        _frechet_apply(u_pos, k_pos, 0.5 * (p + p.conj().swapaxes(-1, -2)))
+        - _frechet_apply(u_neg, k_neg, 0.5 * (qv + qv.conj().swapaxes(-1, -2)))
         + eta[v] * np.eye(d, dtype=np.complex128)
     )
-    return 0.5 * (g + g.conj().T)
+    return 0.5 * (g + g.conj().swapaxes(-1, -2))
 
 
 def _check_gauge_directions(

@@ -289,6 +289,12 @@ def nekrasov_residual(
 
     Returns a mapping from basis monomial to residual value; boundary sites
     at the cap are excluded.
+
+    Raises
+    ------
+    NumericError
+        If the residual at an interior site is not finite (a shift ratio
+        overflowed).
     """
     if not isinstance(t, FockTruncation):
         raise ValidationError(f"expected FockTruncation, got {type(t).__name__}")
@@ -302,14 +308,27 @@ def nekrasov_residual(
         [p for p, mono in enumerate(t.basis) if sum(mono) < t.D], dtype=np.int64
     )
     vec, _ = _residual_kernel(c.values, interior, *_stencil(t, interior), hbar, m)
-    return {t.basis[p]: float(v) for p, v in zip(interior, vec) if not np.isnan(v)}
+    bad = ~np.isfinite(vec)
+    if bad.any():
+        raise NumericError(
+            f"non-finite residual at site {t.basis[interior[np.argmax(bad)]]}"
+        )
+    return {t.basis[p]: float(v) for p, v in zip(interior, vec)}
 
 
 def residual_profile(residuals: Mapping[Monomial, float]) -> list:
     """Per-degree maxima ``[{"degree": d, "max_abs": r}, ...]`` of a residual
-    mapping, sorted by degree."""
+    mapping, sorted by degree.
+
+    Raises
+    ------
+    NumericError
+        If a residual is not finite, which a maximum would hide.
+    """
     by_degree: dict[int, float] = {}
     for mono, val in residuals.items():
+        if not math.isfinite(val):
+            raise NumericError(f"non-finite residual {val} at site {mono}")
         d = sum(mono)
         by_degree[d] = max(by_degree.get(d, 0.0), abs(val))
     return [

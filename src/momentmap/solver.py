@@ -37,7 +37,7 @@ from typing import Mapping, NamedTuple, Optional
 import numpy as np
 
 from .checks import check_int
-from .errors import MomentMapError, SolverError, ValidationError
+from .errors import MomentMapError, NumericError, SolverError, ValidationError
 # ``hermitian_exp`` is unused here but stays importable from this module.
 from .linalg import (
     _exp_spectrum, _hermitian_coords, _hermitian_exp, _hermitian_from_coords, _hermitian_part,
@@ -225,13 +225,25 @@ def extract_destabilizer(
     )
 
 
+#: Matrix entries per stack of perturbed spectra in the finite-difference
+#: Hessian: a vertex of dimension <= 4 takes all its columns in one stack.
+_HESSIAN_STACK_ENTRIES = 1024
+
+
 def _finite_difference_hessian(rep, s, eta, weights, scale):
     """Hessian of the functional in the orthonormal Hermitian product basis:
     central differences ``(G(s + eps b) - G(s - eps b)) / (2 eps)``, with
-    ``eps = 1e-4 * scale``, symmetrised.  The spectra of ``exp(+-s_v)`` are
-    computed once; a column perturbing ``v`` decomposes only ``+-(s_v +- eps b)``
-    and re-evaluates only the blocks at ``v`` and its neighbours, the others
-    subtracting to ``0.0``.  Bitwise equal to full re-evaluation per column.
+    ``eps = 1e-4 * scale``, symmetrised.
+
+    The spectra of ``exp(+-s_v)`` are computed once.  The columns of a vertex
+    ``v`` are taken in chunks of ``max(1, 1024 // d_v**2)`` basis directions
+    ``b``.  Per chunk, one stacked eigh over ``s_v + eps b`` and
+    ``-(s_v + eps b)`` gives the + side's spectra, and stacked products its
+    gradient blocks at ``v`` and its neighbours; only then is the - side
+    decomposed, by a second stacked eigh.  Blocks of vertices not adjacent to
+    ``v`` subtract to ``0.0`` and are left at zero.  Each slice goes through
+    the same LAPACK/BLAS call or elementwise operation as the per-column loop
+    that re-evaluates the full gradient, so the result is bitwise equal to it.
     """
     q = rep.quiver
     eps = 1e-4 * scale
@@ -239,15 +251,30 @@ def _finite_difference_hessian(rep, s, eta, weights, scale):
     rows = {v: slice(e - rep.dims[v] ** 2, e) for v, e in zip(q.vertices, ends)}
     base = _spectra(rep, s)
     hess = np.zeros((ends[-1], ends[-1]))
+
+    def blocks(v, near, sv):
+        k = len(sv)
+        e, u, kernel = _exp_spectrum(np.concatenate([sv, -sv]))
+        spectra = {**base, v: ((e[:k], u[:k], kernel[:k]), (e[k:], u[k:], kernel[k:]))}
+        return [_gradient_block(rep, x, spectra, eta, weights) for x in near]
+
     for v in q.vertices:
-        near = [x for x in q.vertices if x == v or {v, x} in ({a.src, a.dst} for a in q.arrows)]
-        for j, b in enumerate(hermitian_basis(rep.dims[v]), rows[v].start):
-            sp, sm = s[v] + eps * b, s[v] - eps * b
-            plus = {**base, v: (_exp_spectrum(sp), _exp_spectrum(-sp))}
-            minus = {**base, v: (_exp_spectrum(sm), _exp_spectrum(-sm))}
-            for x in near:
-                gp, gm = (_gradient_block(rep, x, sx, eta, weights) for sx in (plus, minus))
-                hess[rows[x], j] = _hermitian_coords(gp - gm) / (2 * eps)
+        d = rep.dims[v]
+        if d == 0:
+            continue
+        near = [
+            x for x in q.vertices
+            if rep.dims[x] and (x == v or {v, x} in ({a.src, a.dst} for a in q.arrows))
+        ]
+        basis = np.array(hermitian_basis(d))
+        chunk = max(1, _HESSIAN_STACK_ENTRIES // d**2)
+        for j in range(0, d * d, chunk):
+            b = eps * basis[j:j + chunk]
+            gp = blocks(v, near, s[v] + b)
+            gm = blocks(v, near, s[v] - b)
+            cols = slice(rows[v].start + j, rows[v].start + j + len(b))
+            for x, plus, minus in zip(near, gp, gm):
+                hess[rows[x], cols] = (_hermitian_coords(plus - minus) / (2 * eps)).T
     return 0.5 * (hess + hess.T)
 
 
@@ -299,7 +326,7 @@ def _refine_by_residual(rep, s, eta, weights, opts, residual, metric):
             try:
                 cand_metric = {v: _hermitian_exp(cand[v]) for v in cand}
                 cand_res = _king_residual(rep, cand_metric, eta, weights).sup
-            except MomentMapError:
+            except NumericError:
                 alpha *= 0.5
                 continue
             if cand_res < best_res:
@@ -322,7 +349,7 @@ def _armijo_search(functional, vertices, s, value, direction, deriv, alpha):
         cand = {v: _hermitian_part(s[v] + alpha * direction[v]) for v in vertices}
         try:
             cand_value = functional(cand)
-        except MomentMapError:
+        except NumericError:
             alpha *= BACKTRACK
             continue
         if np.isfinite(cand_value) and cand_value <= value + ARMIJO_C * alpha * deriv:
@@ -348,7 +375,7 @@ def _descent_probe(vertices, s, grad, functional):
     deriv = -_family_inner(grad, grad)
     try:
         value = functional(s)
-    except MomentMapError:
+    except NumericError:
         return None
     alpha = STEP_CAP / dir_sup
     floor = STATIONARY_STEP * max(1.0, _family_sup(s))
@@ -356,7 +383,7 @@ def _descent_probe(vertices, s, grad, functional):
         cand = {v: _hermitian_part(s[v] + alpha * direction[v]) for v in vertices}
         try:
             cand_value = functional(cand)
-        except MomentMapError:
+        except NumericError:
             alpha *= 0.5
             continue
         if np.isfinite(cand_value) and cand_value < value + 1e-4 * alpha * deriv:

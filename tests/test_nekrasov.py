@@ -267,6 +267,19 @@ class TestNekrasovResidual:
         assert [entry["degree"] for entry in prof] == [0, 1, 2, 3]
         assert all(entry["max_abs"] == 0.0 for entry in prof)
 
+    def test_non_finite_residual_raises(self):
+        # Site (0,) overflows to inf and site (1,) is inf - inf.
+        t = build_truncation(1, "full", 3)
+        c = DiagonalMetric(t, np.array([1e-320, 1e-10, 1e300, 1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"site \(0,\)"):
+                nekrasov_residual(t, c, 1.0, 1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_profile_rejects_non_finite_residuals(self, bad):
+        with pytest.raises(NumericError):
+            residual_profile({(0,): 1.0, (1,): bad, (2,): 0.5})
+
     def test_validation(self):
         t = build_truncation(1, "full", 3)
         c = fock_weights(t, 1.0)

@@ -1,6 +1,7 @@
 """Tests for the Kempf-Ness metric solver and destabilizer extraction."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -75,6 +76,54 @@ def mixed_case():
         s[v] = 0.5 * (a + a.conj().T)
     top = max(sup_norm(m) for m in s.values())
     return rep, {v: 3.0 * m / top for v, m in s.items()}, eta, weights
+
+
+def random_hermitian(rng, d, scale):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return scale * (a + a.conj().T)
+
+
+def zero_eta(rep):
+    return {v: 0.0 for v in rep.quiver.vertices}
+
+
+def unit_weights(rep):
+    return {a.name: 1.0 for a in rep.quiver.arrows}
+
+
+def cycle_case():
+    """The 3-cycle with dimensions (4, 4, 4) and a displacement of order 1."""
+    q = Quiver(
+        ("x", "y", "z"),
+        (Arrow("a", "x", "y"), Arrow("b", "y", "z"), Arrow("c", "z", "x")),
+    )
+    rep = random_representation(q, {"x": 4, "y": 4, "z": 4}, seed=5)
+    rng = np.random.default_rng(5)
+    return rep, {v: random_hermitian(rng, 4, 0.25) for v in q.vertices}
+
+
+def loop_with_neighbour_case():
+    """An 8x8 loop at ``v`` with arrows to and from a 3-dimensional ``u``."""
+    q = Quiver(
+        ("v", "u"),
+        (Arrow("l", "v", "v"), Arrow("m", "v", "u"), Arrow("n", "u", "v")),
+    )
+    rep = random_representation(q, {"v": 8, "u": 3}, seed=9)
+    rng = np.random.default_rng(9)
+    return rep, {"v": random_hermitian(rng, 8, 0.3), "u": random_hermitian(rng, 3, 0.3)}
+
+
+def count_eigh(monkeypatch):
+    """List that grows by one per ``np.linalg.eigh`` call from now on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(h):
+        calls.append(1)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
 
 
 def reference_hessian(rep, s, eta, weights, scale):
@@ -223,30 +272,73 @@ class TestNewtonEndgame:
             assert got[v].tobytes() == want[v].tobytes()
 
     def test_hessian_eigendecompositions(self, monkeypatch):
-        # One eigh per vertex and sign at s, four per column.  Re-evaluating
-        # the full gradient per column takes 1,152 on this quiver.
-        q = Quiver(
-            ("x", "y", "z"),
-            (Arrow("a", "x", "y"), Arrow("b", "y", "z"), Arrow("c", "z", "x")),
+        # One eigh per vertex and sign at s, and one stacked eigh per side
+        # and chunk of columns; a vertex of dimension 4 is a single chunk.
+        # Re-evaluating the full gradient per column takes 1,152 on this
+        # quiver.
+        rep, s = cycle_case()
+        calls = count_eigh(monkeypatch)
+        solver._finite_difference_hessian(rep, s, zero_eta(rep), unit_weights(rep), 1.0)
+        assert len(calls) == 2 * 3 + 2 * 3
+
+    def test_hessian_bitwise_equal_across_chunks(self, monkeypatch):
+        # The 8x8 loop's 64 columns take four chunks of 16, its neighbour's
+        # 9 columns one; the chunks and their order must not show.
+        rep, s = loop_with_neighbour_case()
+        eta, weights = {"v": 0.5, "u": -1.5}, {"l": 0.8, "m": 1.2, "n": 0.6}
+        scale = max(1.0, solver._family_sup(s))
+        want, _ = reference_hessian(rep, s, eta, weights, scale)
+        calls = count_eigh(monkeypatch)
+        got = solver._finite_difference_hessian(rep, s, eta, weights, scale)
+        assert len(calls) == 2 * 2 + 2 * (4 + 1)
+        assert got.tobytes() == want.tobytes()
+
+    def test_hessian_transient_memory_is_bounded(self):
+        # Stacking all 64 columns of the 8x8 loop at once peaks near 1.2 MB.
+        rep = random_representation(loop_quiver(), {"v": 8}, seed=8)
+        s = {"v": random_hermitian(np.random.default_rng(8), 8, 0.25)}
+        tracemalloc.start()
+        try:
+            solver._finite_difference_hessian(rep, s, {"v": 0.0}, {"l0": 1.0}, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("case", ["cycle444", "loop8", "jordan5"])
+    def test_solves_unchanged_with_reference_hessian(self, monkeypatch, case):
+        if case == "cycle444":
+            rep = cycle_case()[0]
+        elif case == "loop8":
+            rep = random_representation(loop_quiver(), {"v": 8}, seed=8)
+        else:
+            rep = loop_rep(np.diag(np.ones(4), 1))
+        opts = SolveOptions(max_iters=300)
+        got = solve_metric(rep, zero_eta(rep), opts=opts)
+        monkeypatch.setattr(
+            solver, "_finite_difference_hessian",
+            lambda *args: reference_hessian(*args)[0],
         )
-        rep = random_representation(q, {"x": 4, "y": 4, "z": 4}, seed=5)
-        rng = np.random.default_rng(5)
-        s = {}
-        for v in q.vertices:
-            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            s[v] = 0.25 * (a + a.conj().T)
-        weights = {"a": 1.0, "b": 1.0, "c": 1.0}
-        eta = {"x": 0.0, "y": 0.0, "z": 0.0}
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(h):
-            calls.append(1)
-            return eigh(h)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        solver._finite_difference_hessian(rep, s, eta, weights, 1.0)
-        assert len(calls) <= 4 * 48 + 2 * 3
+        want = solve_metric(rep, zero_eta(rep), opts=opts)
+        assert got.status is want.status
+        assert got.status is (
+            SolveStatus.DIVERGED if case == "jordan5" else SolveStatus.CONVERGED
+        )
+        assert got.history == want.history
+        assert got.final_sup == want.final_sup
+        if want.metric is None:
+            assert got.metric is None
+        else:
+            for v in rep.quiver.vertices:
+                assert got.metric[v].tobytes() == want.metric[v].tobytes()
+        if want.certificate is None:
+            assert got.certificate is None
+        else:
+            assert got.certificate.subdims == want.certificate.subdims
+            assert got.certificate.slope == want.certificate.slope
+            assert got.certificate.invariance_defect == want.certificate.invariance_defect
+            for v in rep.quiver.vertices:
+                assert got.certificate.basis[v].tobytes() == want.certificate.basis[v].tobytes()
 
     def test_overflowing_trial_is_a_backtrack(self):
         rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
@@ -268,6 +360,53 @@ class TestNewtonEndgame:
         new_s, new_value = step
         assert new_value < value
         assert 0 < sup_norm(new_s["v"]) <= solver.STEP_CAP
+
+
+class TestProgrammingErrorsSurface:
+    """Only a numerical failure rejects a line-search trial; any other
+    error from a kernel is a bug and leaves the solver."""
+
+    def test_validation_error_in_a_trial_leaves_solve_metric(self, monkeypatch):
+        calls = []
+
+        def broken(*args):
+            calls.append(1)
+            if len(calls) > 1:
+                raise ValidationError("broken kernel")
+            return _kempf_ness_value(*args)
+
+        monkeypatch.setattr(solver, "_kempf_ness_value", broken)
+        rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
+        with pytest.raises(ValidationError, match="broken kernel"):
+            solve_metric(rep, {"v": 0.0})
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("good_calls", [0, 1])
+    def test_validation_error_leaves_the_descent_probe(self, good_calls):
+        rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
+        s = {"v": np.zeros((2, 2), dtype=np.complex128)}
+        grad = _kempf_ness_gradient(rep, s, {"v": 0.0}, {"l0": 1.0})
+        calls = []
+
+        def broken(point):
+            calls.append(1)
+            if len(calls) > good_calls:
+                raise ValidationError("broken kernel")
+            return 1.0
+
+        with pytest.raises(ValidationError, match="broken kernel"):
+            solver._descent_probe(["v"], s, grad, broken)
+
+    def test_validation_error_leaves_the_residual_polish(self, monkeypatch):
+        def broken(h):
+            raise ValidationError("broken kernel")
+
+        monkeypatch.setattr(solver, "_hermitian_exp", broken)
+        rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
+        s = {"v": np.zeros((2, 2), dtype=np.complex128)}
+        eta, weights = {"v": 0.0}, {"l0": 1.0}
+        with pytest.raises(ValidationError, match="broken kernel"):
+            solver._refine_by_residual(rep, s, eta, weights, SolveOptions(), 1.0, None)
 
 
 class TestSolveMetricInvariants:
