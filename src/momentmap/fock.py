@@ -84,10 +84,19 @@ def _coerced(op):
 
 @dataclass(frozen=True)
 class QQi:
-    """Gaussian rational ``re + i im`` with exact :class:`Fraction` parts."""
+    """Gaussian rational ``re + i im`` with exact :class:`Fraction` parts.
+
+    Each part may be given as an integer, a :class:`Fraction` or a finite
+    float (converted exactly); anything else, ``bool`` included, raises
+    :class:`ValidationError`.
+    """
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "re", _as_fraction(self.re, "re"))
+        object.__setattr__(self, "im", _as_fraction(self.im, "im"))
 
     @staticmethod
     def of(x) -> "QQi":
@@ -95,12 +104,12 @@ class QQi:
         if isinstance(x, QQi):
             return x
         if isinstance(x, complex):
-            return QQi(_as_fraction(x.real), _as_fraction(x.imag))
-        return QQi(_as_fraction(x))
+            return _qqi(_as_fraction(x.real), _as_fraction(x.imag))
+        return _qqi(_as_fraction(x))
 
     @_coerced
     def __add__(self, o):
-        return QQi(self.re + o.re, self.im + o.im)
+        return _qqi(self.re + o.re, self.im + o.im)
 
     @_coerced
     def __sub__(self, o):
@@ -108,16 +117,16 @@ class QQi:
 
     @_coerced
     def __mul__(self, o):
-        return QQi(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        return _qqi(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __neg__(self) -> "QQi":
-        return QQi(-self.re, -self.im)
+        return _qqi(-self.re, -self.im)
 
     def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        return _qqi(self.re, -self.im)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -130,8 +139,17 @@ class QQi:
         return self.re * self.re + self.im * self.im
 
 
-_ZERO = QQi()
-_ONE = QQi(Fraction(1))
+def _qqi(re: Fraction, im: Fraction = Fraction(0)) -> QQi:
+    """Trusted construction from :class:`Fraction` parts this module computed
+    itself: nothing is checked."""
+    z = object.__new__(QQi)
+    object.__setattr__(z, "re", re)
+    object.__setattr__(z, "im", im)
+    return z
+
+
+_ZERO = _qqi(Fraction(0))
+_ONE = _qqi(Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -210,7 +228,7 @@ class HbarPoly:
         h = _as_fraction(hbar, "hbar")
         total = _ZERO
         for deg, val in self.coeffs.items():
-            total = total + val * QQi(h**deg)
+            total = total + val * _qqi(h**deg)
         return total
 
     def evaluate(self, hbar: float) -> complex:
@@ -473,7 +491,7 @@ def state_rho(x: NormalForm, rho) -> HbarPoly:
         weight = Fraction(1)
         for e in k:
             weight *= math.factorial(e) * rho**e
-        total = total + coeff * QQi(weight)
+        total = total + coeff * _qqi(weight)
     return total
 
 
@@ -520,7 +538,7 @@ def verify_state_identities(n: int, max_degree: int, rho, hbar) -> float:
     exact = not (isinstance(rho, float) or isinstance(hbar, float))
     rho_frac = _as_fraction(rho, "rho")
     hbar_frac = _as_fraction(hbar, "hbar")
-    rho_plus_hbar = HbarPoly({0: QQi(rho_frac), 1: _ONE})
+    rho_plus_hbar = _poly({0: _qqi(rho_frac), 1: _ONE})
 
     def magnitude(poly: HbarPoly) -> float:
         if exact:
@@ -538,7 +556,7 @@ def verify_state_identities(n: int, max_degree: int, rho, hbar) -> float:
             for i in range(1, n + 1):
                 az = state_rho(a.mul_z(i), rho_frac)
                 byparts = rho_plus_hbar * state_rho(dbar(a, i), rho_frac) - az
-                exch = rho_plus_hbar * state_rho(a.lmul_z(i), rho_frac) - az * QQi(
+                exch = rho_plus_hbar * state_rho(a.lmul_z(i), rho_frac) - az * _qqi(
                     rho_frac
                 )
                 worst = max(worst, magnitude(byparts), magnitude(exch))

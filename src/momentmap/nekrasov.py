@@ -1,5 +1,6 @@
 """Finite truncations of the quantized Hermitian-metric equation on
-monomial modules, with a damped-Newton solver and commutator diagnostics.
+monomial modules, with a Levenberg-Marquardt solver and commutator
+diagnostics.
 
 A truncation enumerates the monomials of a module (the full polynomial ring
 or a monomial ideal) up to total degree ``D`` in graded-lexicographic order
@@ -15,7 +16,8 @@ sites on the top level ``|mu| = D`` are boundary, not interior.  On the full
 ring the Bargmann weights ``prod_i k_i! hbar^{k_i}`` solve the equation
 exactly; on ideals the solver freezes the weights near the cap to those
 Bargmann values (the stand-in for the trace-class boundary condition at
-infinity) and runs damped Newton in ``x = log c`` on the remaining sites.
+infinity) and runs Levenberg-Marquardt with Marquardt's damping rule in
+``x = log c`` on the remaining sites.
 
 :func:`commutator_diagnostics` measures how far the truncated shifts are
 from the exact commutation relations ``[Z_i^dagger, Z_j] = hbar delta_ij``
@@ -57,6 +59,15 @@ Monomial = Tuple[int, ...]
 
 #: Default number of top levels whose weights are frozen to Bargmann values.
 DEFAULT_BUFFER = 2
+
+#: Marquardt's damping rule for :func:`solve_nekrasov` (Marquardt, SIAM J.
+#: Appl. Math. 11 (1963); Nielsen, IMM-REP-1999-05): start factor on
+#: ``max diag(J^T J)``, floor, change per accepted or rejected trial, and
+#: trials per iteration.
+LM_LAMBDA_START = 1e-3
+LM_LAMBDA_FLOOR = 1e-12
+LM_FACTOR = 10.0
+LM_TRIES = 10
 
 
 def _grlex_key(m: Monomial):
@@ -343,12 +354,18 @@ def solve_nekrasov(
     opts: Optional[SolveOptions] = None,
     buffer: int = DEFAULT_BUFFER,
 ) -> DiagonalMetric:
-    """Damped-Newton solution of the truncated metric equation.
+    """Levenberg-Marquardt solution of the truncated metric equation.
 
     Weights at the ``buffer + 1`` top levels (``|mu| >= D - buffer``) are
     frozen to Bargmann values, realizing the boundary condition; the
-    logarithms of the remaining weights are Newton unknowns.  Convergence is
-    declared when ``max |r(mu)| <= opts.tol`` over the free sites
+    logarithms of the remaining weights are the unknowns.  Each iteration
+    solves the damped normal equations ``(J^T J + lam I) delta = -J^T r``
+    and accepts the step when it lowers ``|r|_2``.  The damping follows
+    Marquardt's rule: it starts at ``lam = max(1e-12, 1e-3 max diag(J^T J))``,
+    is carried across iterations, is divided by 10 (floor ``1e-12``) after an
+    accepted step and multiplied by 10 after a rejected trial, with at most
+    10 trials per iteration.  Convergence is declared when
+    ``max |r(mu)| <= opts.tol`` over the free sites
     (``|mu| <= D - buffer - 1``).
 
     Parameters
@@ -409,6 +426,7 @@ def solve_nekrasov(
 
     r, jac = residual_and_jacobian(x)
     best_sup = float(np.max(np.abs(r)))
+    lam = None
     for iteration in range(opts.max_iters):
         sup = float(np.max(np.abs(r)))
         best_sup = min(best_sup, sup)
@@ -422,15 +440,16 @@ def solve_nekrasov(
             )
             return metric
         norm = float(np.linalg.norm(r))
-        lam = max(1e-12, norm)
         normal = jac.T @ jac
         rhs = -jac.T @ r
+        if lam is None:
+            lam = max(LM_LAMBDA_FLOOR, LM_LAMBDA_START * float(np.max(np.diag(normal))))
         stepped = False
-        for _ in range(10):
+        for _ in range(LM_TRIES):
             try:
                 delta = np.linalg.solve(normal + lam * eye, rhs)
             except np.linalg.LinAlgError:
-                lam *= 10.0
+                lam *= LM_FACTOR
                 continue
             x_new = x.copy()
             x_new[free] += delta
@@ -438,9 +457,10 @@ def solve_nekrasov(
                 r_new, jac_new = residual_and_jacobian(x_new)
             if np.all(np.isfinite(r_new)) and np.linalg.norm(r_new) < norm:
                 x, r, jac = x_new, r_new, jac_new
+                lam = max(LM_LAMBDA_FLOOR, lam / LM_FACTOR)
                 stepped = True
                 break
-            lam *= 10.0
+            lam *= LM_FACTOR
         if not stepped:
             break
 

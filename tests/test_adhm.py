@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from momentmap import adhm
 from momentmap.adhm import (
     ADHMData,
     adhm_from_json,
@@ -280,6 +281,19 @@ class TestSolveAdhm:
         monkeypatch.setattr(ADHMData, "__post_init__", counted)
         solve_adhm(3, 2, 1.0)
         assert len(constructions) == 1
+
+    def test_sup_norms_only_where_the_frobenius_bound_allows(self, monkeypatch):
+        # Two SVDs on every iterate made about 1,060 calls here.
+        calls = []
+        sup_norm = adhm.sup_norm
+
+        def counted(a):
+            calls.append(1)
+            return sup_norm(a)
+
+        monkeypatch.setattr(adhm, "sup_norm", counted)
+        solve_adhm(12, 1, 1.0, seed=0)
+        assert len(calls) <= 60
 
     def test_nonconvergence_carries_best_residuals(self):
         with pytest.raises(SolverError) as err:

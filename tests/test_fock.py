@@ -71,6 +71,19 @@ class TestQQi:
         with pytest.raises(ValidationError):
             QQi.of(float("inf"))
 
+    @pytest.mark.parametrize(
+        "re,im", [("a", 1), (1, "b"), (float("nan"), 0), (0, float("nan")), (True, 0), (0, False)]
+    )
+    def test_constructor_rejects_bad_parts(self, re, im):
+        with pytest.raises(ValidationError):
+            QQi(re, im)
+
+    def test_constructor_stores_exact_fractions(self):
+        z = QQi(2, 0.5)
+        assert (z.re, z.im) == (Fraction(2), Fraction(1, 2))
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        assert QQi(np.int64(3)) == QQi(Fraction(3))
+
 
 class TestHbarPoly:
     def test_zero_coefficients_stripped(self):
