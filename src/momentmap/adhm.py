@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import check_int
+from .checks import check_int, check_real, load_json_object
 from .errors import ConsistencyError, SolverError, ValidationError
 from .linalg import as_complex_matrix, hermitian_basis, sup_norm
 from .quiver import Arrow, Quiver, matrix_from_json, matrix_to_json
@@ -160,9 +160,7 @@ def adhm_residuals(d: ADHMData, eta: float) -> ADHMResiduals:
     """
     if not isinstance(d, ADHMData):
         raise ValidationError(f"expected ADHMData, got {type(d).__name__}")
-    eta = float(eta)
-    if not np.isfinite(eta):
-        raise ValidationError("eta must be finite")
+    eta = check_real("eta", eta)
     mats = [d.alpha, d.beta, d.a, d.b]
     mu_c, mu_r = _moments(mats, [m.conj().T for m in mats], eta * np.eye(d.N))
 
@@ -347,13 +345,12 @@ def solve_adhm(
         embedded quiver representation and belongs to the metric solver,
         whose output must then be checked for nondegeneracy separately.
     SolverError
-        If no run converges within ``opts.max_iters``; carries the best
-        residual pair in ``details``.
+        If no run converges within ``opts.max_iters``; carries in
+        ``details`` the residual pair of all starts with the smallest
+        ``max(sup_c, sup_r)``, the key each run ranks its iterates by.
     """
     N, k = check_int("N", N, 1), check_int("k", k, 1)
-    eta = float(eta)
-    if not np.isfinite(eta):
-        raise ValidationError("eta must be finite")
+    eta = check_real("eta", eta)
     if eta == 0.0:
         raise ValidationError(
             "eta = 0 is the undeformed system: solve it as King's equation "
@@ -372,7 +369,7 @@ def solve_adhm(
                 "deformed system solved: N=%d k=%d eta=%g attempt=%d", N, k, eta, attempt
             )
             return data
-        best = min(best, outcome)
+        best = min(best, outcome, key=max)
     raise SolverError(
         f"no convergence to tol={opts.tol} within {opts.max_iters} iterations "
         f"({restarts} starts)",
@@ -425,15 +422,7 @@ def adhm_to_json(d: ADHMData, eta: float) -> str:
 
 def adhm_from_json(text: str):
     """Parse the problem JSON form; returns ``(ADHMData, eta)``."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValidationError("problem JSON must be an object")
-    missing = {"N", "k", "eta", "alpha", "beta", "a", "b"} - set(obj)
-    if missing:
-        raise ValidationError(f"problem JSON missing keys {sorted(missing)}")
+    obj = load_json_object(text, ("N", "k", "eta", "alpha", "beta", "a", "b"))
     n, k = check_int("N", obj["N"], 1), check_int("k", obj["k"], 1)
     data = ADHMData(
         n,
@@ -443,7 +432,4 @@ def adhm_from_json(text: str):
         matrix_from_json(obj["a"], (n, k), name="a"),
         matrix_from_json(obj["b"], (k, n), name="b"),
     )
-    eta = float(obj["eta"])
-    if not np.isfinite(eta):
-        raise ValidationError("eta must be finite")
-    return data, eta
+    return data, check_real("eta", obj["eta"])

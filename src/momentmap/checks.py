@@ -1,18 +1,26 @@
 """Input checks shared by every construction, and the exponent multi-indices
 they accept.
 
-Each input fact is checked here, once, by the public constructor, parser or
-entry point that receives it; values the package builds itself are not
-checked again.
+Each input fact has one check here: an integer bound (:func:`check_int`), a
+finite or positive real (:func:`check_real`), a mapping over a fixed key set
+(:func:`check_keys`), a sequence (:func:`check_sequence`), a tuple of
+exponents (:func:`check_exponents`) and a JSON object with a fixed key set
+(:func:`load_json_object`).  The public constructor, parser or entry point
+that receives a fact calls its check once; values the package builds itself
+are not checked again.  Every malformed input raises :class:`ValidationError`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+import json
+import math
+import numbers
+from collections.abc import Mapping, Sequence
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 
 
 def is_integer(x) -> bool:
@@ -27,15 +35,81 @@ def check_int(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def check_real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite ``float``, if it is a real number (Python or NumPy
+    int or float, or a ``Fraction``; not ``bool``, not a string), and, with
+    ``positive``, greater than zero."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x) and (x > 0 or not positive):
+            return x
+    kind = "a positive" if positive else "a finite"
+    raise ValidationError(f"{name} must be {kind} real number, got {value!r}")
+
+
+def check_keys(name: str, value, keys: Iterable) -> Mapping:
+    """``value`` itself, if it is a mapping whose key set is exactly ``keys``."""
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{name} must be a mapping, got {value!r}")
+    keys = set(keys)
+    if set(value) != keys:
+        raise ValidationError(
+            f"{name} keys {sorted(value, key=repr)} != expected {sorted(keys, key=repr)}"
+        )
+    return value
+
+
+def check_sequence(name: str, value) -> Sequence:
+    """``value`` itself, if it is a sequence (a list, tuple or 1-d array) and
+    not a string."""
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        return value
+    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+        raise ValidationError(f"{name} must be a sequence, got {value!r}")
+    return value
+
+
 def check_exponents(n: int, m, name: str) -> Tuple[int, ...]:
     """``m`` as a tuple of ``n`` integer exponents ``>= 0``."""
-    m = tuple(m)
+    m = tuple(check_sequence(name, m))
     if len(m) != n:
         raise ValidationError(f"{name}: expected {n} exponents, got {len(m)}")
     for e in m:
         if not is_integer(e) or e < 0:
             raise ValidationError(f"{name}: exponents must be integers >= 0, got {e!r}")
     return tuple(int(e) for e in m)
+
+
+def load_json_object(text: str, required: Iterable[str], optional: Iterable[str] = ()) -> dict:
+    """Parse ``text`` as a JSON object whose keys include every key of
+    ``required`` and otherwise come from ``optional``.
+
+    Raises
+    ------
+    ParseError
+        On malformed JSON, with its line and column.
+    ValidationError
+        If the value is not an object, or a key is missing or unknown.
+    """
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(obj, dict):
+        raise ValidationError("problem file: top level must be a JSON object")
+    required = set(required)
+    missing = required - set(obj)
+    if missing:
+        raise ValidationError(f"problem file: missing keys {sorted(missing)}")
+    unknown = set(obj) - required - set(optional)
+    if unknown:
+        raise ValidationError(f"problem file: unknown keys {sorted(unknown)}")
+    return obj
 
 
 def compositions(n: int, total: int) -> Iterator[Tuple[int, ...]]:

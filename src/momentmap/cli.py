@@ -24,6 +24,9 @@ Subcommands
     Exhaustively check the two Gaussian-state exchange identities in exact
     rational arithmetic.  Exit 0 iff the deviation is exactly zero.
 
+Every subcommand takes ``--seed`` and ``--out``; the three ``solve``
+subcommands take ``--tol`` and ``--max-iters``; ``king solve`` alone takes
+``--history``, and the two ``king`` subcommands ``--allow-nonzero-slope``.
 Results are deterministic JSON (sorted keys, no timestamps); each completed
 run also emits a manifest with the command line, an SHA-256 digest of the
 input, the seed, the tool version, the wall-clock duration, and the final
@@ -105,12 +108,17 @@ def _digest_args(parts: dict) -> str:
     return _digest_bytes(json.dumps(parts, sort_keys=True).encode("utf-8"))
 
 
-def _read_input(path: str) -> bytes:
+def _read_input(path: str) -> tuple[str, str]:
+    """The text of the UTF-8 input file at ``path`` and the digest of its bytes."""
     try:
         with open(path, "rb") as handle:
-            return handle.read()
+            raw = handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read input file {path!r}: {exc}") from exc
+    try:
+        return raw.decode("utf-8"), _digest_bytes(raw)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"input file {path!r} is not UTF-8: {exc}") from exc
 
 
 def _solve_options(args) -> SolveOptions:
@@ -126,10 +134,8 @@ def _write_result(args, result: dict) -> None:
         sys.stdout.write(text)
 
 
-def _write_history(args, rows) -> None:
-    if not args.history:
-        return
-    with open(args.history, "w", newline="", encoding="utf-8") as handle:
+def _write_history(path, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["iteration", "functional", "residual"])
         for row in rows:
@@ -146,15 +152,15 @@ def _write_manifest(args, manifest: RunManifest) -> None:
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: each returns (exit code, result dict, history rows,
-# status string, input digest)
+# subcommand handlers: each returns (exit code, result dict, status string,
+# input digest)
 # --------------------------------------------------------------------------
 
 
 def _cmd_king_solve(args):
-    raw = _read_input(args.problem)
+    text, digest = _read_input(args.problem)
     quiver, dims, eta, rep = parse_quiver_spec(
-        raw.decode("utf-8"), allow_nonzero_slope=args.allow_nonzero_slope
+        text, allow_nonzero_slope=args.allow_nonzero_slope
     )
     if rep is None:
         raise ValidationError("problem file provides no arrow matrices to solve for")
@@ -192,13 +198,15 @@ def _cmd_king_solve(args):
         code = 2
     else:
         code = 3
-    return code, result, outcome.history, outcome.status.value, _digest_bytes(raw)
+    if args.history:
+        _write_history(args.history, outcome.history)
+    return code, result, outcome.status.value, digest
 
 
 def _cmd_verify_universal(args):
-    raw = _read_input(args.problem)
+    text, digest = _read_input(args.problem)
     quiver, dims, eta, _rep = parse_quiver_spec(
-        raw.decode("utf-8"), allow_nonzero_slope=args.allow_nonzero_slope
+        text, allow_nonzero_slope=args.allow_nonzero_slope
     )
     if args.samples < 1:
         raise ValidationError(f"samples must be >= 1, got {args.samples}")
@@ -253,7 +261,7 @@ def _cmd_verify_universal(args):
         "threshold": UNIVERSAL_TOL,
     }
     status = "ok" if passed else "deviation-exceeded"
-    return (0 if passed else 2), result, [], status, _digest_bytes(raw)
+    return (0 if passed else 2), result, status, digest
 
 
 def _cmd_adhm_solve(args):
@@ -273,12 +281,12 @@ def _cmd_adhm_solve(args):
     passed = res.sup_c <= args.tol and res.sup_r <= args.tol and stab == 0
     status = "ok" if passed else "conditions-unmet"
     digest = _digest_args({"N": args.N, "k": args.k, "eta": eta, "seed": args.seed})
-    return (0 if passed else 2), result, [], status, digest
+    return (0 if passed else 2), result, status, digest
 
 
 def _cmd_nekrasov_solve(args):
-    raw = _read_input(args.problem)
-    truncation, hbar, m, buffer = truncation_from_json(raw.decode("utf-8"))
+    text, digest = _read_input(args.problem)
+    truncation, hbar, m, buffer = truncation_from_json(text)
     opts = _solve_options(args)
     metric = solve_nekrasov(truncation, hbar, m, opts=opts, buffer=buffer)
 
@@ -304,7 +312,7 @@ def _cmd_nekrasov_solve(args):
     }
     passed = free_max <= args.tol
     status = "ok" if passed else "residual-exceeded"
-    return (0 if passed else 2), result, [], status, _digest_bytes(raw)
+    return (0 if passed else 2), result, status, digest
 
 
 def _cmd_fock_check(args):
@@ -330,7 +338,7 @@ def _cmd_fock_check(args):
     digest = _digest_args(
         {"n": args.n, "degree": args.degree, "rho": str(rho), "hbar": str(hbar)}
     )
-    return (0 if passed else 2), result, [], status, digest
+    return (0 if passed else 2), result, status, digest
 
 
 # --------------------------------------------------------------------------
@@ -339,15 +347,17 @@ def _cmd_fock_check(args):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
-    shared.add_argument(
+    # flag groups: every subcommand, the solvers, and the quiver parsers
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="random seed")
+    common.add_argument("--out", help="write the result JSON to this path")
+    solve = argparse.ArgumentParser(add_help=False)
+    solve.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
+    solve.add_argument(
         "--max-iters", type=int, default=10000, help="iteration budget"
     )
-    shared.add_argument("--seed", type=int, default=0, help="random seed")
-    shared.add_argument("--out", help="write the result JSON to this path")
-    shared.add_argument("--history", help="write the convergence history CSV here")
-    shared.add_argument(
+    slope = argparse.ArgumentParser(add_help=False)
+    slope.add_argument(
         "--allow-nonzero-slope",
         action="store_true",
         help="skip the zero-slope check when parsing quiver problems",
@@ -360,12 +370,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     king = groups.add_parser("king", help="quiver metric equations")
     king_sub = king.add_subparsers(dest="command", required=True)
-    p = king_sub.add_parser("solve", parents=[shared], help="solve for a metric")
+    p = king_sub.add_parser(
+        "solve", parents=[common, solve, slope], help="solve for a metric"
+    )
     p.add_argument("problem", help="problem JSON path")
+    p.add_argument("--history", help="write the convergence history CSV here")
     p.set_defaults(handler=_cmd_king_solve)
     p = king_sub.add_parser(
         "verify-universal",
-        parents=[shared],
+        parents=[common, slope],
         help="dual-route Hamiltonian cross-check on random data",
     )
     p.add_argument("problem", help="problem JSON path (quiver and dims)")
@@ -374,7 +387,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     adhm = groups.add_parser("adhm", help="deformed ADHM equations")
     adhm_sub = adhm.add_subparsers(dest="command", required=True)
-    p = adhm_sub.add_parser("solve", parents=[shared], help="solve the deformed equations")
+    p = adhm_sub.add_parser(
+        "solve", parents=[common, solve], help="solve the deformed equations"
+    )
     p.add_argument("--N", type=int, required=True, help="gauge rank")
     p.add_argument("--k", type=int, required=True, help="framing rank")
     p.add_argument("--eta", type=float, required=True, help="deformation parameter")
@@ -387,14 +402,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     nek = groups.add_parser("nekrasov", help="truncated metric equations on modules")
     nek_sub = nek.add_subparsers(dest="command", required=True)
-    p = nek_sub.add_parser("solve", parents=[shared], help="solve a truncation")
+    p = nek_sub.add_parser("solve", parents=[common, solve], help="solve a truncation")
     p.add_argument("problem", help="problem JSON path")
     p.set_defaults(handler=_cmd_nekrasov_solve)
 
     fock = groups.add_parser("fock", help="exact normal-ordering layer")
     fock_sub = fock.add_subparsers(dest="command", required=True)
     p = fock_sub.add_parser(
-        "check-state", parents=[shared], help="exact state-identity sweep"
+        "check-state", parents=[common], help="exact state-identity sweep"
     )
     p.add_argument("--n", type=int, required=True, help="number of variables")
     p.add_argument("--degree", type=int, required=True, help="maximal total degree")
@@ -415,7 +430,20 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     try:
-        code, result, history, status, digest = args.handler(args)
+        code, result, status, digest = args.handler(args)
+        duration = time.perf_counter() - start
+        _write_result(args, result)
+        _write_manifest(
+            args,
+            RunManifest(
+                command_line="momentmap " + " ".join(argv),
+                input_digest=digest,
+                seed=args.seed,
+                version=__version__,
+                duration_seconds=duration,
+                status=status,
+            ),
+        )
     except (ValidationError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -425,21 +453,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    duration = time.perf_counter() - start
-
-    _write_result(args, result)
-    _write_history(args, history)
-    _write_manifest(
-        args,
-        RunManifest(
-            command_line="momentmap " + " ".join(argv),
-            input_digest=digest,
-            seed=args.seed,
-            version=__version__,
-            duration_seconds=duration,
-            status=status,
-        ),
-    )
     return code
 
 

@@ -45,15 +45,23 @@ pattern in degrees 0 and 1) and reports the largest deviation.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .checks import check_int
+from .checks import check_int, check_keys
 from .errors import ConsistencyError, ValidationError
-from .linalg import as_hermitian, metric_adjoint, sup_norm
-from .moment import KahlerData, _check_vertex_family, _weights, identity_metric
+from .linalg import metric_adjoint
+from .moment import (
+    KahlerData,
+    _check_gauge_directions,
+    _check_metric,
+    _weights,
+    identity_metric,
+)
 from .quiver import Arrow, Quiver, Representation, validate_eta
 
 __all__ = [
@@ -108,29 +116,33 @@ def cyclic_basis(quiver: Quiver) -> Tuple[CyclicComponent, ...]:
     return tuple(comps)
 
 
-def _check_values(
-    quiver: Quiver, values: Mapping[str, complex], keys, name: str
-) -> dict[str, complex]:
+def _check_values(values: Mapping[str, complex], keys, name: str) -> dict[str, complex]:
+    """Finite complex coefficients over ``keys`` (missing keys are 0)."""
+    if not isinstance(values, Mapping):
+        raise ValidationError(f"{name} must be a mapping, got {values!r}")
     keys = tuple(keys)
     if set(values) - set(keys):
         raise ValidationError(
-            f"{name} has unknown keys {sorted(set(values) - set(keys))}"
+            f"{name} has unknown keys {sorted(set(values) - set(keys), key=repr)}"
         )
     out = {}
     for k in keys:
-        z = complex(values.get(k, 0.0))
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+        z = values.get(k, 0.0)
+        if not isinstance(z, numbers.Complex) or isinstance(z, (bool, np.bool_)):
+            raise ValidationError(f"{name}[{k!r}] must be a number, got {z!r}")
+        try:
+            z = complex(z)
+        except OverflowError:
+            z = complex(math.inf)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValidationError(f"{name}[{k!r}] is not finite: {z}")
         out[k] = z
     return out
 
 
-def _check_vertex_scalars(quiver: Quiver, f: Mapping[str, complex], name: str) -> dict[str, complex]:
-    if set(f) != set(quiver.vertices):
-        raise ValidationError(
-            f"{name} keys {sorted(f)} != vertices {sorted(quiver.vertices)}"
-        )
-    return _check_values(quiver, f, quiver.vertices, name)
+def _check_vertex_scalars(quiver: Quiver, f: Mapping[str, complex]) -> dict[str, complex]:
+    """A vertex function: a finite complex coefficient at every vertex."""
+    return _check_values(check_keys("f", f, quiver.vertices), quiver.vertices, "f")
 
 
 @dataclass(frozen=True)
@@ -167,15 +179,15 @@ class BElement:
         object.__setattr__(
             self,
             "vertex_part",
-            _check_values(self.quiver, self.vertex_part, self.quiver.vertices, "vertex_part"),
+            _check_values(self.vertex_part, self.quiver.vertices, "vertex_part"),
         )
         object.__setattr__(
-            self, "arrow_part", _check_values(self.quiver, self.arrow_part, arrows, "arrow_part")
+            self, "arrow_part", _check_values(self.arrow_part, arrows, "arrow_part")
         )
         object.__setattr__(
             self,
             "arrowbar_part",
-            _check_values(self.quiver, self.arrowbar_part, arrows, "arrowbar_part"),
+            _check_values(self.arrowbar_part, arrows, "arrowbar_part"),
         )
 
     @classmethod
@@ -210,7 +222,7 @@ class BElement:
 
     def left_mul(self, f: Mapping[str, complex]) -> "BElement":
         """Multiply by the vertex function ``f`` on the left: ``f . b``."""
-        f = _check_vertex_scalars(self.quiver, f, "f")
+        f = _check_vertex_scalars(self.quiver, f)
         return BElement(
             self.quiver,
             {v: f[v] * z for v, z in self.vertex_part.items()},
@@ -220,7 +232,7 @@ class BElement:
 
     def right_mul(self, f: Mapping[str, complex]) -> "BElement":
         """Multiply by the vertex function ``f`` on the right: ``b . f``."""
-        f = _check_vertex_scalars(self.quiver, f, "f")
+        f = _check_vertex_scalars(self.quiver, f)
         return BElement(
             self.quiver,
             {v: z * f[v] for v, z in self.vertex_part.items()},
@@ -341,13 +353,7 @@ class ConnectionData:
     adjoints: Mapping[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        fam = _check_vertex_family(self.rep, self.metric, "metric")
-        h = {}
-        for v in self.rep.quiver.vertices:
-            m = as_hermitian(fam[v], name=f"metric[{v!r}]")
-            if m.size and np.linalg.eigvalsh(m)[0] <= 0:
-                raise ValidationError(f"metric[{v!r}]: not positive-definite")
-            h[v] = m
+        h = _check_metric(self.rep, self.metric)
         adjoints = {}
         for a in self.rep.quiver.arrows:
             adjoints[a.name] = metric_adjoint(
@@ -362,29 +368,6 @@ class ConnectionData:
         return cls(rep, identity_metric(rep))
 
 
-def _check_metric_gauge(
-    conn: ConnectionData, u: Mapping[str, np.ndarray], name: str = "u"
-) -> dict[str, np.ndarray]:
-    """Validate a gauge direction for the metric: ``h_v u_v`` anti-Hermitian.
-
-    This is the Lie algebra of the unitary group of the metric family (for
-    the identity metric it reduces to plain anti-Hermitian matrices); it is
-    exactly the domain on which the scaled cyclic functional is real.
-    """
-    fam = _check_vertex_family(conn.rep, u, name)
-    for v, m in fam.items():
-        if m.size == 0:
-            continue
-        hu = conn.metric[v] @ m
-        defect = sup_norm(hu + hu.conj().T)
-        if defect > 1e-12 * max(1.0, sup_norm(hu)):
-            raise ValidationError(
-                f"{name}[{v!r}]: not anti-self-adjoint for the metric "
-                f"(defect {defect:.3e})"
-            )
-    return fam
-
-
 def trace_C3(u: Mapping[str, np.ndarray], c: ConnectionData) -> TripleTensor:
     """Closed-chain trace of a gauge direction against the connection.
 
@@ -397,7 +380,9 @@ def trace_C3(u: Mapping[str, np.ndarray], c: ConnectionData) -> TripleTensor:
     Parameters
     ----------
     u : mapping
-        Vertex -> matrix, anti-self-adjoint for the connection's metric.
+        Vertex -> matrix, anti-self-adjoint for the connection's metric
+        (``h_v u_v`` anti-Hermitian): exactly the domain on which the scaled
+        cyclic functional is real.
     c : ConnectionData
         Representation, metric, and precomputed conjugate actions.
 
@@ -406,7 +391,7 @@ def trace_C3(u: Mapping[str, np.ndarray], c: ConnectionData) -> TripleTensor:
     TripleTensor
     """
     rep = c.rep
-    u = _check_metric_gauge(c, u)
+    u = _check_gauge_directions(rep, u, metric=c.metric)
     comps = cyclic_basis(rep.quiver)
     ops = []
     for comp in comps:

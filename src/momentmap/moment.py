@@ -29,6 +29,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .checks import check_keys, check_real
 from .errors import ValidationError
 from .linalg import (
     _exp_spectrum,
@@ -36,6 +37,7 @@ from .linalg import (
     _hermitian_exp,
     as_complex_matrix,
     as_hermitian,
+    as_positive_definite,
     hermitian_exp,  # unused here but stays importable from this module
     sup_norm,
 )
@@ -70,30 +72,21 @@ class KahlerData:
 
 
 def _weights(quiver: Quiver, kahler: Optional[KahlerData]) -> dict[str, float]:
+    names = [a.name for a in quiver.arrows]
     if kahler is None:
-        return {a.name: 1.0 for a in quiver.arrows}
-    names = {a.name for a in quiver.arrows}
-    if set(kahler.weights) != names:
-        raise ValidationError(
-            f"weight keys {sorted(kahler.weights)} != arrows {sorted(names)}"
-        )
-    out = {}
-    for name in names:
-        w = float(kahler.weights[name])
-        if not np.isfinite(w) or w <= 0:
-            raise ValidationError(f"weight for arrow {name!r} must be positive, got {w}")
-        out[name] = w
-    return out
+        return {name: 1.0 for name in names}
+    weights = check_keys("weights", kahler.weights, names)
+    return {
+        name: check_real(f"weight for arrow {name!r}", weights[name], positive=True)
+        for name in names
+    }
 
 
 def _check_vertex_family(
     rep: Representation, fam: Mapping[str, np.ndarray], name: str
 ) -> dict[str, np.ndarray]:
     """Validate a per-vertex square-matrix family against the dimension vector."""
-    if set(fam) != set(rep.quiver.vertices):
-        raise ValidationError(
-            f"{name} keys {sorted(fam)} != vertices {sorted(rep.quiver.vertices)}"
-        )
+    check_keys(name, fam, rep.quiver.vertices)
     out = {}
     for v in rep.quiver.vertices:
         m = as_complex_matrix(fam[v], name=f"{name}[{v!r}]")
@@ -153,14 +146,13 @@ def king_residual(
     q = rep.quiver
     w = _weights(q, kahler)
     eta = validate_eta(q, eta)
-    metric = _check_vertex_family(rep, metric, "metric")
-    h = {v: as_hermitian(metric[v], name=f"metric[{v!r}]") for v in q.vertices}
-    for v in q.vertices:
-        # Strict positivity only: metrics produced by exp(s) can be extremely
-        # ill-conditioned along near-divergent flows yet remain valid inputs.
-        if h[v].size and np.linalg.eigvalsh(h[v])[0] <= 0:
-            raise ValidationError(f"metric[{v!r}]: not positive-definite")
-    return _king_residual(rep, h, eta, w)
+    return _king_residual(rep, _check_metric(rep, metric), eta, w)
+
+
+def _check_metric(rep: Representation, metric: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Validate a per-vertex Hermitian positive-definite family."""
+    fam = _check_vertex_family(rep, metric, "metric")
+    return {v: as_positive_definite(fam[v], name=f"metric[{v!r}]") for v in fam}
 
 
 def _king_residual(rep, h, eta, w) -> MomentResidual:
@@ -289,16 +281,27 @@ def _gradient_block(rep, v, spectra, eta, w) -> np.ndarray:
 
 
 def _check_gauge_directions(
-    rep: Representation, u: Mapping[str, np.ndarray], name: str = "u"
+    rep: Representation,
+    u: Mapping[str, np.ndarray],
+    name: str = "u",
+    metric: Optional[Mapping[str, np.ndarray]] = None,
 ) -> dict[str, np.ndarray]:
-    """Validate a per-vertex anti-Hermitian family (gauge Lie algebra)."""
+    """Validate a per-vertex family in the gauge Lie algebra of ``metric``
+    (validated, default the identity): ``h_v u_v`` anti-Hermitian.
+
+    This is the Lie algebra of the unitary group of the metric family; for
+    the identity metric it consists of the anti-Hermitian matrices.
+    """
     fam = _check_vertex_family(rep, u, name)
     for v, m in fam.items():
         if m.size == 0:
             continue
-        defect = sup_norm(m + m.conj().T)
-        if defect > 1e-12 * max(1.0, sup_norm(m)):
-            raise ValidationError(f"{name}[{v!r}]: not anti-Hermitian (defect {defect:.3e})")
+        hu = m if metric is None else metric[v] @ m
+        defect = sup_norm(hu + hu.conj().T)
+        if defect > 1e-12 * max(1.0, sup_norm(hu)):
+            raise ValidationError(
+                f"{name}[{v!r}]: not anti-self-adjoint for the metric (defect {defect:.3e})"
+            )
     return fam
 
 

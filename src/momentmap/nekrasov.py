@@ -28,7 +28,6 @@ time from the neighbor tables: memory is O(level^2), not O(size^2).
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -36,7 +35,15 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .checks import check_exponents, check_int, compositions
+from .checks import (
+    check_exponents,
+    check_int,
+    check_keys,
+    check_real,
+    check_sequence,
+    compositions,
+    load_json_object,
+)
 from .errors import ConsistencyError, NumericError, SolverError, ValidationError
 from .solver import SolveOptions
 
@@ -156,7 +163,7 @@ def build_truncation(
             raise ValidationError(f"unknown module kind {module!r}")
         generators: Optional[Tuple[Monomial, ...]] = None
     else:
-        gens = [check_exponents(n, g, "generator") for g in module]
+        gens = [check_exponents(n, g, "generator") for g in check_sequence("module", module)]
         if not gens:
             raise ValidationError("monomial ideal needs at least one generator")
         max_deg = max(sum(g) for g in gens)
@@ -225,9 +232,7 @@ class DiagonalMetric:
 
 def fock_weights(t: FockTruncation, hbar: float) -> DiagonalMetric:
     """Bargmann weights ``c_mu = prod_i mu_i! hbar^{|mu|}``."""
-    hbar = float(hbar)
-    if not np.isfinite(hbar) or hbar <= 0:
-        raise ValidationError(f"hbar must be positive, got {hbar}")
+    hbar = check_real("hbar", hbar, positive=True)
     vals = np.array(
         [
             float(math.prod(math.factorial(e) for e in m)) * hbar ** sum(m)
@@ -311,9 +316,7 @@ def nekrasov_residual(
         raise ValidationError(f"expected FockTruncation, got {type(t).__name__}")
     if not isinstance(c, DiagonalMetric) or c.truncation.basis != t.basis:
         raise ValidationError("metric does not belong to this truncation")
-    hbar = float(hbar)
-    if not np.isfinite(hbar):
-        raise ValidationError("hbar must be finite")
+    hbar = check_real("hbar", hbar)
     m = check_int("m", m, 1)
     interior = np.array(
         [p for p, mono in enumerate(t.basis) if sum(mono) < t.D], dtype=np.int64
@@ -389,9 +392,7 @@ def solve_nekrasov(
     """
     if not isinstance(t, FockTruncation):
         raise ValidationError(f"expected FockTruncation, got {type(t).__name__}")
-    hbar = float(hbar)
-    if not np.isfinite(hbar) or hbar <= 0:
-        raise ValidationError(f"hbar must be positive, got {hbar}")
+    hbar = check_real("hbar", hbar, positive=True)
     if m is None:
         m = t.n
     m = check_int("m", m, 1)
@@ -516,9 +517,7 @@ def commutator_diagnostics(
         raise ValidationError(f"expected FockTruncation, got {type(t).__name__}")
     if not isinstance(c, DiagonalMetric) or c.truncation.basis != t.basis:
         raise ValidationError("metric does not belong to this truncation")
-    hbar = float(hbar)
-    if not np.isfinite(hbar):
-        raise ValidationError("hbar must be finite")
+    hbar = check_real("hbar", hbar)
 
     shifted = np.nonzero(t.up >= 0)
     with np.errstate(over="ignore"):
@@ -581,24 +580,15 @@ def truncation_from_json(text: str):
     """Parse a problem description ``{"n", "module", "D", "hbar", "m",
     "buffer"}``; returns ``(truncation, hbar, m, buffer)`` with defaults
     ``m = n`` and ``buffer = 2``."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValidationError("problem JSON must be an object")
-    missing = {"n", "module", "D", "hbar"} - set(obj)
-    if missing:
-        raise ValidationError(f"problem JSON missing keys {sorted(missing)}")
+    obj = load_json_object(text, ("n", "module", "D", "hbar"), ("m", "buffer"))
     module = obj["module"]
     if isinstance(module, dict):
-        if set(module) != {"ideal"}:
-            raise ValidationError('module object must have the single key "ideal"')
-        module = module["ideal"]
+        check_keys("module object", module, ("ideal",))
+        module = check_sequence("ideal", module["ideal"])
     elif module != "full":
         raise ValidationError(f'module must be "full" or an ideal object, got {module!r}')
     t = build_truncation(obj["n"], module, obj["D"])
-    hbar = float(obj["hbar"])
-    m = obj.get("m", t.n)
-    buffer = obj.get("buffer", DEFAULT_BUFFER)
+    hbar = check_real("hbar", obj["hbar"], positive=True)
+    m = check_int("m", obj.get("m", t.n), 1)
+    buffer = check_int("buffer", obj.get("buffer", DEFAULT_BUFFER), 0)
     return t, hbar, m, buffer

@@ -8,11 +8,11 @@ A problem file is a JSON object::
       "arrows":   [{"id": "a", "src": "1", "dst": "2"}, ...],
       "dims":     {"1": 2, "2": 1},
       "eta":      {"1": 1.0, "2": -2.0},
-      "rep":      {"a": [[[re, im], ...], ...], ...},     # optional
-      "metric":   {"1": [[[re, im], ...], ...], ...}      # optional
+      "rep":      {"a": [[[re, im], ...], ...], ...}      # optional
     }
 
-All matrices are row-major arrays of two-element ``[re, im]`` pairs.  An arrow
+and no other key: a solve always starts from the identity metric.  All
+matrices are row-major arrays of two-element ``[re, im]`` pairs.  An arrow
 matrix for ``a: src -> dst`` has shape ``(dims[dst], dims[src])`` and acts on
 column vectors.
 """
@@ -21,25 +21,24 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .checks import check_int
-from .errors import ParseError, ValidationError
-from .linalg import as_complex_matrix, as_positive_definite
+from .checks import check_int, check_keys, check_real, load_json_object
+from .errors import ValidationError
+from .linalg import as_complex_matrix
 
 __all__ = [
     "Arrow",
     "Quiver",
     "Representation",
-    "ProblemInstance",
     "validate_dims",
     "validate_eta",
     "validate_slope",
     "parse_quiver_spec",
-    "load_problem",
     "problem_to_json",
     "matrix_to_json",
     "matrix_from_json",
@@ -84,27 +83,15 @@ class Quiver:
 
 
 def validate_dims(quiver: Quiver, dims: Mapping[str, int]) -> dict[str, int]:
-    """Check that ``dims`` covers exactly the vertex set with integers >= 0."""
-    if set(dims) != set(quiver.vertices):
-        raise ValidationError(
-            f"dimension vector keys {sorted(dims)} != vertices {sorted(quiver.vertices)}"
-        )
+    """Check that ``dims`` maps exactly the vertex set to integers >= 0."""
+    check_keys("dimension vector", dims, quiver.vertices)
     return {v: check_int(f"dimension at vertex {v!r}", dims[v], 0) for v in quiver.vertices}
 
 
 def validate_eta(quiver: Quiver, eta: Mapping[str, float]) -> dict[str, float]:
-    """Check that ``eta`` covers exactly the vertex set with finite reals."""
-    if set(eta) != set(quiver.vertices):
-        raise ValidationError(
-            f"stability parameter keys {sorted(eta)} != vertices {sorted(quiver.vertices)}"
-        )
-    out = {}
-    for v in quiver.vertices:
-        x = float(eta[v])
-        if not np.isfinite(x):
-            raise ValidationError(f"stability parameter at vertex {v!r} is not finite")
-        out[v] = x
-    return out
+    """Check that ``eta`` maps exactly the vertex set to finite reals."""
+    check_keys("stability parameter", eta, quiver.vertices)
+    return {v: check_real(f"stability parameter at vertex {v!r}", eta[v]) for v in quiver.vertices}
 
 
 def validate_slope(eta: Mapping[str, float], dims: Mapping[str, int]):
@@ -120,11 +107,11 @@ def validate_slope(eta: Mapping[str, float], dims: Mapping[str, int]):
     ValidationError
         If the vertex sets differ or ``|sum| > 1e-12``.
     """
-    if set(eta) != set(dims):
-        raise ValidationError(
-            f"stability/dimension vertex sets differ: {sorted(eta)} vs {sorted(dims)}"
-        )
-    total = float(sum(eta[v] * dims[v] for v in eta))
+    check_keys("stability parameter", eta, dims)
+    try:
+        total = float(sum(eta[v] * dims[v] for v in eta))
+    except OverflowError:
+        total = math.inf
     if abs(total) > SLOPE_TOL:
         raise ValidationError(f"slope constraint violated: {total:g} != 0")
     return dict(eta), total
@@ -144,11 +131,7 @@ class Representation:
     def __post_init__(self):
         dims = validate_dims(self.quiver, self.dims)
         object.__setattr__(self, "dims", dims)
-        arrow_names = {a.name for a in self.quiver.arrows}
-        if set(self.matrices) != arrow_names:
-            raise ValidationError(
-                f"representation arrow keys {sorted(self.matrices)} != arrows {sorted(arrow_names)}"
-            )
+        check_keys("representation", self.matrices, [a.name for a in self.quiver.arrows])
         mats = {}
         for a in self.quiver.arrows:
             m = as_complex_matrix(self.matrices[a.name], name=f"arrow {a.name!r}")
@@ -162,17 +145,6 @@ class Representation:
         object.__setattr__(self, "matrices", mats)
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
-    """A fully parsed problem file."""
-
-    quiver: Quiver
-    dims: Mapping[str, int]
-    eta: Mapping[str, float]
-    rep: Optional[Representation] = None
-    metric: Optional[Mapping[str, np.ndarray]] = field(default=None)
-
-
 def matrix_to_json(a) -> list:
     """Encode a complex matrix as row-major ``[re, im]`` pairs."""
     arr = as_complex_matrix(a)
@@ -181,102 +153,70 @@ def matrix_to_json(a) -> list:
 
 def matrix_from_json(data, shape: tuple[int, int], name: str) -> np.ndarray:
     """Decode a row-major ``[re, im]`` matrix, checking the expected shape."""
-    if not isinstance(data, list):
-        raise ValidationError(f"{name}: expected a list of rows")
-    out = np.zeros(shape, dtype=np.complex128)
-    if len(data) != shape[0]:
-        raise ValidationError(f"{name}: expected {shape[0]} rows, got {len(data)}")
+    rows, cols = shape
+    if not isinstance(data, list) or len(data) != rows:
+        raise ValidationError(f"{name}: expected a list of {rows} rows")
     for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != shape[1]:
-            raise ValidationError(f"{name}: row {i} must have {shape[1]} entries")
+        if not isinstance(row, list) or len(row) != cols:
+            raise ValidationError(f"{name}: row {i} must have {cols} entries")
+    try:
+        out = np.zeros(shape, dtype=np.complex128)
+    except ValueError as exc:
+        raise ValidationError(f"{name}: cannot hold shape {shape}: {exc}") from exc
+    for i, row in enumerate(data):
         for j, pair in enumerate(row):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-            ):
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise ValidationError(f"{name}: entry ({i},{j}) must be a [re, im] pair")
-            out[i, j] = complex(pair[0], pair[1])
-    if out.size and not np.all(np.isfinite(out.view(np.float64))):
-        raise ValidationError(f"{name}: non-finite entries")
+            label = f"{name}: entry ({i},{j})"
+            out[i, j] = complex(check_real(label, pair[0]), check_real(label, pair[1]))
     return out
-
-
-def _parse_instance(obj, allow_nonzero_slope: bool) -> ProblemInstance:
-    if not isinstance(obj, dict):
-        raise ValidationError("problem file: top level must be a JSON object")
-    for key in ("vertices", "arrows", "dims", "eta"):
-        if key not in obj:
-            raise ValidationError(f"problem file: missing key {key!r}")
-    vertices = obj["vertices"]
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise ValidationError("problem file: 'vertices' must be a list of strings")
-    arrows = []
-    if not isinstance(obj["arrows"], list):
-        raise ValidationError("problem file: 'arrows' must be a list")
-    for i, rec in enumerate(obj["arrows"]):
-        if not isinstance(rec, dict) or not {"id", "src", "dst"} <= set(rec):
-            raise ValidationError(f"problem file: arrow #{i} must have keys id/src/dst")
-        arrows.append(Arrow(str(rec["id"]), str(rec["src"]), str(rec["dst"])))
-    quiver = Quiver(tuple(vertices), tuple(arrows))
-    dims = validate_dims(quiver, obj["dims"])
-    eta = validate_eta(quiver, obj["eta"])
-    try:
-        validate_slope(eta, dims)
-    except ValidationError:
-        if not allow_nonzero_slope:
-            raise
-        total = sum(eta[v] * dims[v] for v in eta)
-        logger.warning("slope constraint relaxed: sum eta_v dim_v = %g", total)
-
-    rep = None
-    if "rep" in obj and obj["rep"] is not None:
-        raw = obj["rep"]
-        if not isinstance(raw, dict):
-            raise ValidationError("problem file: 'rep' must be an object keyed by arrow id")
-        mats = {}
-        for a in quiver.arrows:
-            if a.name not in raw:
-                raise ValidationError(f"problem file: 'rep' missing arrow {a.name!r}")
-            mats[a.name] = matrix_from_json(
-                raw[a.name], (dims[a.dst], dims[a.src]), name=f"rep[{a.name!r}]"
-            )
-        extra = set(raw) - {a.name for a in quiver.arrows}
-        if extra:
-            raise ValidationError(f"problem file: 'rep' has unknown arrows {sorted(extra)}")
-        rep = Representation(quiver, dims, mats)
-
-    metric = None
-    if "metric" in obj and obj["metric"] is not None:
-        raw = obj["metric"]
-        if not isinstance(raw, dict) or set(raw) != set(quiver.vertices):
-            raise ValidationError("problem file: 'metric' must cover exactly the vertex set")
-        metric = {}
-        for v in quiver.vertices:
-            m = matrix_from_json(raw[v], (dims[v], dims[v]), name=f"metric[{v!r}]")
-            metric[v] = as_positive_definite(m, name=f"metric[{v!r}]")
-    return ProblemInstance(quiver, dims, eta, rep, metric)
-
-
-def load_problem(text: str, allow_nonzero_slope: bool = False) -> ProblemInstance:
-    """Parse a problem file, including the optional initial metric."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return _parse_instance(obj, allow_nonzero_slope)
 
 
 def parse_quiver_spec(text: str, allow_nonzero_slope: bool = False):
     """Parse a problem file into ``(quiver, dims, eta, representation-or-None)``.
 
     Errors carry positions for malformed JSON, the offending arrow for shape
-    mismatches, and the computed sum for slope violations.
+    mismatches, and the computed sum for slope violations; an unknown key is
+    an error.
     """
-    inst = load_problem(text, allow_nonzero_slope=allow_nonzero_slope)
-    return inst.quiver, dict(inst.dims), dict(inst.eta), inst.rep
+    obj = load_json_object(text, ("vertices", "arrows", "dims", "eta"), ("rep",))
+    vertices = obj["vertices"]
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise ValidationError("problem file: 'vertices' must be a list of strings")
+    if not isinstance(obj["arrows"], list):
+        raise ValidationError("problem file: 'arrows' must be a list")
+    arrows = []
+    for i, rec in enumerate(obj["arrows"]):
+        if (
+            not isinstance(rec, dict)
+            or set(rec) != {"id", "src", "dst"}
+            or not all(isinstance(x, str) for x in rec.values())
+        ):
+            raise ValidationError(
+                f"problem file: arrow #{i} must have exactly the string keys id/src/dst"
+            )
+        arrows.append(Arrow(rec["id"], rec["src"], rec["dst"]))
+    quiver = Quiver(tuple(vertices), tuple(arrows))
+    dims = validate_dims(quiver, obj["dims"])
+    eta = validate_eta(quiver, obj["eta"])
+    try:
+        validate_slope(eta, dims)
+    except ValidationError as exc:
+        if not allow_nonzero_slope:
+            raise
+        logger.warning("nonzero slope allowed: %s", exc)
+
+    rep = None
+    if obj.get("rep") is not None:
+        raw = check_keys("problem file: 'rep'", obj["rep"], [a.name for a in quiver.arrows])
+        mats = {
+            a.name: matrix_from_json(
+                raw[a.name], (dims[a.dst], dims[a.src]), name=f"rep[{a.name!r}]"
+            )
+            for a in quiver.arrows
+        }
+        rep = Representation(quiver, dims, mats)
+    return quiver, dims, eta, rep
 
 
 def problem_to_json(
@@ -284,7 +224,6 @@ def problem_to_json(
     dims: Mapping[str, int],
     eta: Mapping[str, float],
     rep: Optional[Representation] = None,
-    metric: Optional[Mapping[str, np.ndarray]] = None,
 ) -> str:
     """Serialize a problem instance to its canonical JSON form."""
     obj = {
@@ -295,8 +234,6 @@ def problem_to_json(
     }
     if rep is not None:
         obj["rep"] = {name: matrix_to_json(m) for name, m in rep.matrices.items()}
-    if metric is not None:
-        obj["metric"] = {v: matrix_to_json(metric[v]) for v in quiver.vertices}
     return json.dumps(obj, indent=2, sort_keys=True)
 
 

@@ -36,7 +36,7 @@ from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .checks import check_int
+from .checks import check_int, check_real
 from .errors import MomentMapError, NumericError, SolverError, ValidationError
 # ``hermitian_exp`` is unused here but stays importable from this module.
 from .linalg import (
@@ -97,9 +97,8 @@ class SolveOptions:
     max_iters: int = 10000
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
-        check_int("max_iters", self.max_iters, 1)
+        object.__setattr__(self, "tol", check_real("tol", self.tol, positive=True))
+        object.__setattr__(self, "max_iters", check_int("max_iters", self.max_iters, 1))
 
 
 class HistoryRecord(NamedTuple):
@@ -299,23 +298,27 @@ def _newton_direction(rep, s, eta, weights, grad, residual):
     return direction, slope
 
 
-def _refine_by_residual(rep, s, eta, weights, opts, residual, metric):
+def _refine_by_residual(rep, s, eta, weights, opts, residual, metric, direction):
     """Endgame polish: damped Newton steps accepted iff the King residual
     strictly decreases.
 
     Near the minimum the functional's decrease per step falls below its own
     floating-point resolution long before the residual reaches ``tol``, so
     Armijo-on-functional cannot certify the final contractions; the residual
-    itself is the reliable progress measure there.
+    itself is the reliable progress measure there.  Each step goes along the
+    damped Newton direction, or steepest descent where that is not a descent
+    direction; ``direction`` is the first one, when the caller already holds
+    it (``None`` computes it here).
     """
     best_s, best_res, best_metric = s, residual, metric
     for _ in range(60):
         if best_res <= opts.tol:
             break
-        grad = _kempf_ness_gradient(rep, best_s, eta, weights)
-        direction, slope = _newton_direction(rep, best_s, eta, weights, grad, best_res)
         if direction is None:
-            direction = {v: -grad[v] for v in rep.quiver.vertices}
+            grad = _kempf_ness_gradient(rep, best_s, eta, weights)
+            direction, _ = _newton_direction(rep, best_s, eta, weights, grad, best_res)
+            if direction is None:
+                direction = {v: -grad[v] for v in rep.quiver.vertices}
         alpha = 1.0
         improved = False
         while alpha > 1e-8:
@@ -336,6 +339,7 @@ def _refine_by_residual(rep, s, eta, weights, opts, residual, metric):
             alpha *= 0.5
         if not improved:
             break
+        direction = None
     return best_s, best_res, best_metric
 
 
@@ -358,7 +362,7 @@ def _armijo_search(functional, vertices, s, value, direction, deriv, alpha):
     return None
 
 
-def _descent_probe(vertices, s, grad, functional):
+def _descent_probe(vertices, s, value, grad, functional):
     """Distinguish a genuine minimum from an escaping valley at a stall.
 
     Attempt an Armijo-checked steepest-descent step whose *trial length* is
@@ -366,17 +370,14 @@ def _descent_probe(vertices, s, grad, functional):
     order-one step can decrease the functional, so every trial is rejected
     down to the stationarity scale and the probe returns ``None``; along an
     escaping valley the functional keeps decaying at full step length, the
-    trial is accepted, and the caller should keep flowing.
+    trial is accepted, and the caller should keep flowing.  ``value`` is the
+    functional at ``s``.
     """
     direction = {v: -grad[v] for v in vertices}
     dir_sup = _family_sup(direction)
     if dir_sup == 0.0:
         return None
     deriv = -_family_inner(grad, grad)
-    try:
-        value = functional(s)
-    except NumericError:
-        return None
     alpha = STEP_CAP / dir_sup
     floor = STATIONARY_STEP * max(1.0, _family_sup(s))
     while alpha * dir_sup > floor:
@@ -478,8 +479,11 @@ def solve_metric(
         use_newton = residual < NEWTON_SWITCH_TOL and not probe
         direction = None
         deriv = None
+        # the damped Newton step at s, computed at most once per iteration
+        newton = None
         if use_newton:
-            direction, deriv = _newton_direction(rep, s, eta, weights, grad, residual)
+            newton = _newton_direction(rep, s, eta, weights, grad, residual)
+            direction, deriv = newton
             if direction is None:
                 use_newton = False
         if direction is None:
@@ -522,7 +526,9 @@ def solve_metric(
             # damped Newton direction suppresses wall components, so try it
             # as a rescue before concluding anything.
             if not use_newton:
-                r_dir, r_deriv = _newton_direction(rep, s, eta, weights, grad, residual)
+                if newton is None:
+                    newton = _newton_direction(rep, s, eta, weights, grad, residual)
+                r_dir, r_deriv = newton
                 if r_dir is not None:
                     r_sup = _family_sup(r_dir)
                     r_alpha = min(1.0, STEP_CAP / r_sup) if r_sup > 0 else 1.0
@@ -542,8 +548,11 @@ def solve_metric(
                 return finish(SolveStatus.MAX_ITERS, residual, metric)
             refined = residual > opts.tol
             if refined:
+                first = newton[0]
+                if first is None:
+                    first = {v: -grad[v] for v in vertices}
                 s, residual, metric = _refine_by_residual(
-                    rep, s, eta, weights, opts, residual, metric
+                    rep, s, eta, weights, opts, residual, metric, first
                 )
                 try:
                     value = functional(s)
@@ -561,7 +570,7 @@ def solve_metric(
                     raise SolverError(
                         "gradient evaluation failed", {"iteration": iteration}
                     ) from exc
-            probe_step = _descent_probe(vertices, s, grad, functional)
+            probe_step = _descent_probe(vertices, s, value, grad, functional)
             if probe_step is None:
                 if refined:
                     # Refinement moved the iterate after the last logged
@@ -580,8 +589,6 @@ def solve_metric(
             raise SolverError(
                 "gradient evaluation failed", {"iteration": iteration}
             ) from exc
-        if not np.isfinite(value):
-            raise SolverError("non-finite functional", {"iteration": iteration})
         residual = _king_residual(rep, metric, eta, weights).sup
         history.append(HistoryRecord(iteration, value, residual))
 

@@ -130,7 +130,7 @@ def reference_solve_adhm(N, k, eta, seed, opts):
         mats, outcome = run(rng)
         if mats is not None:
             return mats
-        best = min(best, outcome)
+        best = min(best, outcome, key=max)
     return best
 
 
@@ -301,6 +301,16 @@ class TestSolveAdhm:
         assert "best_sup_c" in err.value.details
         assert "best_sup_r" in err.value.details
         assert np.isfinite(err.value.details["best_sup_r"])
+
+    def test_restarts_ranked_by_the_worst_residual(self, monkeypatch):
+        # Each run keeps the iterate with the smallest max(sup_c, sup_r); the
+        # starts are compared by the same key, not lexicographically, which
+        # would prefer (1e-3, 0.5) here.
+        outcomes = iter([(None, (1e-3, 0.5)), (None, (2e-2, 2e-2))] + [(None, (1.0, 1.0))] * 3)
+        monkeypatch.setattr(adhm, "_solve_once", lambda *args: next(outcomes))
+        with pytest.raises(SolverError) as err:
+            solve_adhm(2, 1, 1.0)
+        assert err.value.details == {"best_sup_c": 2e-2, "best_sup_r": 2e-2}
 
     def test_vertex_two_block_automatic(self):
         # Embedded as a quiver representation with the slope-balancing

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from momentmap.cli import main
+from momentmap.cli import _build_parser, main
 from momentmap.nekrasov import (
     DiagonalMetric,
     build_truncation,
@@ -350,3 +350,94 @@ class TestArgumentHandling:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+def _malformed_king(patch):
+    obj = {
+        "vertices": ["v"],
+        "arrows": [{"id": "l", "src": "v", "dst": "v"}],
+        "dims": {"v": 1},
+        "eta": {"v": 0.0},
+        "rep": {"l": [[[1.0, 0.0]]]},
+    }
+    obj.update(patch)
+    return obj
+
+
+class TestMalformedInputExitsCleanly:
+    @pytest.mark.parametrize(
+        "group,problem",
+        [
+            ("king", _malformed_king({"eta": {"v": "zero"}})),
+            ("king", _malformed_king({"eta": 0.0})),
+            ("king", _malformed_king({"dims": 2})),
+            ("king", _malformed_king({"metric": {"v": [[[1.0, 0.0]]]}})),
+            ("nekrasov", {"n": 1, "module": "full", "D": 6, "hbar": "one"}),
+            ("nekrasov", {"n": 1, "module": {"ideal": 5}, "D": 6, "hbar": 1.0}),
+            ("nekrasov", {"n": 1, "module": "full", "D": 6, "hbar": 1.0, "m": None}),
+        ],
+    )
+    def test_error_not_traceback(self, tmp_path, capsys, group, problem):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(problem))
+        assert main([group, "solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["king", "solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_infinite_tolerance(self, loop_problem, capsys):
+        assert main(["king", "solve", str(loop_problem), "--tol", "inf"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unwritable_output(self, loop_problem, tmp_path, capsys):
+        out = tmp_path / "missing" / "result.json"
+        assert main(["king", "solve", str(loop_problem), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+#: The flags each subcommand takes besides its own operands.
+FLAGS = {
+    "king solve": {
+        "--seed", "--out", "--tol", "--max-iters", "--history", "--allow-nonzero-slope",
+    },
+    "king verify-universal": {"--seed", "--out", "--allow-nonzero-slope", "--samples"},
+    "adhm solve": {"--seed", "--out", "--tol", "--max-iters", "--N", "--k", "--eta", "--mirror"},
+    "nekrasov solve": {"--seed", "--out", "--tol", "--max-iters"},
+    "fock check-state": {"--seed", "--out", "--n", "--degree", "--rho", "--hbar"},
+}
+
+
+class TestEveryFlagIsRead:
+    def test_flags_per_subcommand(self):
+        found = {}
+        parser = _build_parser()
+        for group, group_parser in parser._subparsers._group_actions[0].choices.items():
+            commands = group_parser._subparsers._group_actions[0].choices
+            for command, command_parser in commands.items():
+                found[f"{group} {command}"] = {
+                    flag
+                    for action in command_parser._actions
+                    for flag in action.option_strings
+                    if flag not in ("-h", "--help")
+                }
+        assert found == FLAGS
+        assert sum(map(len, found.values())) == 28
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fock", "check-state", "--n", "1", "--degree", "0", "--rho", "1", "--hbar", "1",
+             "--tol", "1e-3"],
+            ["fock", "check-state", "--n", "1", "--degree", "0", "--rho", "1", "--hbar", "1",
+             "--max-iters", "3"],
+            ["adhm", "solve", "--N", "1", "--k", "1", "--eta", "1", "--history", "h.csv"],
+            ["adhm", "solve", "--N", "1", "--k", "1", "--eta", "1", "--allow-nonzero-slope"],
+        ],
+    )
+    def test_unread_flags_are_rejected(self, argv, capsys):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -366,6 +366,48 @@ class TestSolveNekrasov:
         solve_nekrasov(t, 1.0, n)
         assert len(calls) <= 12
 
+    @staticmethod
+    def rejected_trials(monkeypatch):
+        """List of residual norms, one per kernel evaluation, and a function
+        counting the trials that did not lower the norm."""
+        norms = []
+        kernel = nekrasov._residual_kernel
+
+        def recorded(*args, **kwargs):
+            r, jac = kernel(*args, **kwargs)
+            norms.append(float(np.linalg.norm(r)))
+            return r, jac
+
+        monkeypatch.setattr(nekrasov, "_residual_kernel", recorded)
+
+        def count():
+            current, rejected = norms[0], 0
+            for norm in norms[1:]:
+                if np.isfinite(norm) and norm < current:
+                    current = norm
+                else:
+                    rejected += 1
+            return rejected
+
+        return count
+
+    def test_rejected_trial_raises_damping_and_converges(self, monkeypatch):
+        count = self.rejected_trials(monkeypatch)
+        t = build_truncation(1, [(1,)], 20)
+        c = solve_nekrasov(t, 5.0, 4)
+        assert count() == 1
+        res = nekrasov_residual(t, c, 5.0, 4)
+        assert max(abs(v) for k, v in res.items() if sum(k) <= 17) <= 1e-10
+
+    def test_no_accepted_trial_stops_with_profile(self, monkeypatch):
+        monkeypatch.setattr(nekrasov, "LM_TRIES", 1)
+        monkeypatch.setattr(nekrasov, "LM_LAMBDA_START", 1e-12)
+        t = build_truncation(1, [(1,)], 20)
+        with pytest.raises(SolverError) as err:
+            solve_nekrasov(t, 5.0, 3)
+        profile = err.value.details["residual_profile"]
+        assert [entry["degree"] for entry in profile] == list(range(1, 20))
+
     @pytest.mark.parametrize("hbar", [0.1, 5.0])
     @pytest.mark.parametrize(
         "n,module,D",

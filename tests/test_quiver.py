@@ -12,7 +12,6 @@ from momentmap.quiver import (
     Quiver,
     Representation,
     direct_sum,
-    load_problem,
     matrix_from_json,
     matrix_to_json,
     parse_quiver_spec,
@@ -75,6 +74,10 @@ class TestSlope:
         with pytest.raises(ValidationError, match="2"):
             validate_slope({"1": 1.0, "2": 1.0}, {"1": 1, "2": 1})
 
+    def test_sum_beyond_float_range(self):
+        with pytest.raises(ValidationError, match="inf"):
+            validate_slope({"v": 0.0}, {"v": 10**400})
+
 
 class TestParsing:
     def test_minimal_instance(self):
@@ -107,17 +110,17 @@ class TestParsing:
         q, dims, eta, rep = parse_quiver_spec(json.dumps(obj), allow_nonzero_slope=True)
         assert eta == {"v": 1.0}
 
-    def test_metric_key_parsed(self):
+    @pytest.mark.parametrize(
+        "diagonal", [(2, 3), (1, -1)], ids=["positive-definite", "indefinite"]
+    )
+    def test_metric_key_rejected(self, diagonal):
+        # a solve always starts from the identity metric, so an initial
+        # metric would be ignored: the key is unknown, valid or not
         obj = json.loads(JORDAN_SPEC)
-        obj["metric"] = {"v": [[[2, 0], [0, 0]], [[0, 0], [3, 0]]]}
-        inst = load_problem(json.dumps(obj))
-        npt.assert_allclose(inst.metric["v"], np.diag([2.0, 3.0]))
-
-    def test_metric_must_be_positive_definite(self):
-        obj = json.loads(JORDAN_SPEC)
-        obj["metric"] = {"v": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}
-        with pytest.raises(ValidationError):
-            load_problem(json.dumps(obj))
+        a, b = diagonal
+        obj["metric"] = {"v": [[[a, 0], [0, 0]], [[0, 0], [b, 0]]]}
+        with pytest.raises(ValidationError, match=r"unknown keys \['metric'\]"):
+            parse_quiver_spec(json.dumps(obj))
 
     def test_roundtrip_is_fixed_point(self):
         q, dims, eta, rep = parse_quiver_spec(JORDAN_SPEC)
@@ -126,6 +129,18 @@ class TestParsing:
         text2 = problem_to_json(q2, dims2, eta2, rep2)
         assert text1 == text2
         npt.assert_array_equal(rep.matrices["a"], rep2.matrices["a"])
+
+    def test_matrix_json_shape_beyond_memory(self):
+        obj = json.loads(JORDAN_SPEC)
+        obj.update(
+            vertices=["v", "w"],
+            arrows=[{"id": "a", "src": "v", "dst": "w"}],
+            dims={"v": 2**62, "w": 0},
+            eta={"v": 0.0, "w": 0.0},
+            rep={"a": []},
+        )
+        with pytest.raises(ValidationError, match="rep\\['a'\\]"):
+            parse_quiver_spec(json.dumps(obj))
 
     def test_matrix_json_roundtrip(self):
         rng = np.random.default_rng(3)

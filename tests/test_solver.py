@@ -362,6 +362,27 @@ class TestNewtonEndgame:
         assert 0 < sup_norm(new_s["v"]) <= solver.STEP_CAP
 
 
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_one_hessian_per_iterate(self, monkeypatch, seed):
+        # The residual polish starts along the Newton direction its caller
+        # just computed instead of rebuilding the Hessian at the same point.
+        if seed is None:
+            rep = cycle_case()[0]
+        else:
+            rep = random_representation(cycle_case()[0].quiver, {"x": 4, "y": 4, "z": 4}, seed)
+        points = []
+        hessian = solver._finite_difference_hessian
+
+        def recorded(rep, s, *args):
+            points.append(b"".join(s[v].tobytes() for v in rep.quiver.vertices))
+            return hessian(rep, s, *args)
+
+        monkeypatch.setattr(solver, "_finite_difference_hessian", recorded)
+        out = solve_metric(rep, zero_eta(rep), opts=SolveOptions(max_iters=300))
+        assert out.status is SolveStatus.CONVERGED
+        assert points and len(points) == len(set(points))
+
+
 class TestProgrammingErrorsSurface:
     """Only a numerical failure rejects a line-search trial; any other
     error from a kernel is a bug and leaves the solver."""
@@ -383,6 +404,8 @@ class TestProgrammingErrorsSurface:
 
     @pytest.mark.parametrize("good_calls", [0, 1])
     def test_validation_error_leaves_the_descent_probe(self, good_calls):
+        # the probe takes the functional at s from its caller; the error
+        # comes from its first trial, or from its second after a rejection
         rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
         s = {"v": np.zeros((2, 2), dtype=np.complex128)}
         grad = _kempf_ness_gradient(rep, s, {"v": 0.0}, {"l0": 1.0})
@@ -395,7 +418,8 @@ class TestProgrammingErrorsSurface:
             return 1.0
 
         with pytest.raises(ValidationError, match="broken kernel"):
-            solver._descent_probe(["v"], s, grad, broken)
+            solver._descent_probe(["v"], s, 1.0, grad, broken)
+        assert len(calls) == good_calls + 1
 
     def test_validation_error_leaves_the_residual_polish(self, monkeypatch):
         def broken(h):
@@ -406,7 +430,7 @@ class TestProgrammingErrorsSurface:
         s = {"v": np.zeros((2, 2), dtype=np.complex128)}
         eta, weights = {"v": 0.0}, {"l0": 1.0}
         with pytest.raises(ValidationError, match="broken kernel"):
-            solver._refine_by_residual(rep, s, eta, weights, SolveOptions(), 1.0, None)
+            solver._refine_by_residual(rep, s, eta, weights, SolveOptions(), 1.0, None, None)
 
 
 class TestSolveMetricInvariants:
