@@ -15,9 +15,13 @@ embeds as a representation of a two-vertex quiver (two loops at vertex 1,
 exactly ``mu_R``; the vertex-2 residual is then automatic by the trace
 identity ``tr(mu_R + eta Id) = tr(b^dagger b) - tr(a a^dagger)``.
 
-The deformed system is solved by gradient descent with backtracking on the
-merged least-squares objective ``|mu_C|_F^2 + |mu_R|_F^2`` from a seeded
+The deformed system is solved by adaptive Barzilai-Borwein gradient descent
+with a nonmonotone (Grippo-Lampariello-Lucidi) backtracking line search on
+the merged least-squares objective ``|mu_C|_F^2 + |mu_R|_F^2`` from a seeded
 random start; positive ``eta`` forces ``b`` over ``a`` in the rank-1 case.
+The descent works on one packed vector: ``alpha, beta`` are one
+``(2, N, N)`` view of it, so each moment evaluation and each gradient takes
+stacked products.
 Nondegeneracy of a solution is certified by :func:`stabilizer_dimension`,
 the real nullity of the linearized U(N)-action.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -186,42 +191,71 @@ def adhm_residuals(d: ADHMData, eta: float) -> ADHMResiduals:
     )
 
 
-def _gradients(mats, adj, mu_c: np.ndarray, mu_r: np.ndarray) -> np.ndarray:
-    """Conjugate-coordinate gradient of the merged objective, packed.
-
-    The first-order expansion is ``df = 2 Re sum tr(G_x^dagger dx)`` over the
-    four matrix blocks, so ``-G`` is the steepest-descent direction.
-    """
-    al, be, a, b = mats
-    al_h, be_h, a_h, b_h = adj
-    g_al = (mu_c @ be_h - be_h @ mu_c) + 2.0 * (al @ mu_r - mu_r @ al)
-    g_be = (al_h @ mu_c - mu_c @ al_h) + 2.0 * (be @ mu_r - mu_r @ be)
-    g_a = mu_c @ b_h - 2.0 * mu_r @ a
-    g_b = a_h @ mu_c + 2.0 * b @ mu_r
-    return _pack([g_al, g_be, g_a, g_b])
-
-
 def _pack(mats) -> np.ndarray:
     return np.concatenate([m.ravel() for m in mats])
 
 
-def _layout(shapes):
-    """``(slice, shape)`` of each block of a vector packed by :func:`_pack`."""
-    out, start = [], 0
-    for rows, cols in shapes:
-        out.append((slice(start, start + rows * cols), (rows, cols)))
-        start += rows * cols
-    return out
+#: Memory of the nonmonotone line search in :func:`_descend` (Grippo,
+#: Lampariello and Lucidi, SIAM J. Numer. Anal. 23 (1986); Raydan, SIAM J.
+#: Optim. 7 (1997)): a trial is tested against the largest of the last
+#: ``GLL_MEMORY`` accepted values.
+GLL_MEMORY = 10
 
-
-def _blocks(vec: np.ndarray, layout):
-    """Views of the packed vector ``vec`` as its matrix blocks."""
-    return [vec[part].reshape(shape) for part, shape in layout]
-
+#: Adaptive Barzilai-Borwein switch of :func:`_descend` (Zhou, Gao and Dai,
+#: Comput. Optim. Appl. 35 (2006)): the short step is taken when it is below
+#: ``ABB_KAPPA`` times the long one.
+ABB_KAPPA = 0.5
 
 #: Relative margin on ``tol`` in the Frobenius bound of :func:`_descend`,
 #: far above the rounding of either norm.
 _FROBENIUS_MARGIN = 1e-6
+
+
+def _fused_moments(x: np.ndarray, k: int, eta_id: np.ndarray):
+    """Both moment maps at the packed vector ``x = [alpha, beta, a, b]``,
+    unchecked.  Returns ``(X, XH, a, b, mu_c, mu_r)``: ``X`` is the
+    ``(2, N, N)`` view ``[alpha, beta]`` of ``x``, ``XH`` its blockwise
+    conjugate transpose, ``a`` and ``b`` views of ``x``.  The commutator is
+    ``X[0] X[1] - X[1] X[0]`` from the one product ``X @ X[::-1]``, and the
+    two loop terms of ``mu_r`` are the two blocks of ``XH @ X - X @ XH``."""
+    n = len(eta_id)
+    split = 2 * n * n
+    X = x[:split].reshape(2, n, n)
+    a = x[split : split + n * k].reshape(n, k)
+    b = x[split + n * k :].reshape(k, n)
+    XH = X.conj().transpose(0, 2, 1)
+    comm = X @ X[::-1]
+    loops = XH @ X - X @ XH
+    mu_c = comm[0] - comm[1] + a @ b
+    mu_r = loops[0] + loops[1] + b.conj().T @ b - a @ a.conj().T - eta_id
+    return X, XH, a, b, mu_c, mu_r
+
+
+def _fused_gradient(parts) -> np.ndarray:
+    """Conjugate-coordinate gradient of the merged objective at the output
+    ``parts`` of :func:`_fused_moments`, packed like ``x``.
+
+    The first-order expansion is ``df = 2 Re sum tr(G_x^dagger dx)`` over the
+    four matrix blocks, so ``-G`` is the steepest-descent direction:
+
+        G_alpha = [mu_c, beta^dagger] + 2 [alpha, mu_r]
+        G_beta  = [alpha^dagger, mu_c] + 2 [beta, mu_r]
+        G_a = mu_c b^dagger - 2 mu_r a,    G_b = a^dagger mu_c + 2 b mu_r.
+
+    The loop blocks come from the stack ``W = [beta^dagger, alpha^dagger]``
+    as ``[mu_c, W]`` with the second block negated."""
+    X, XH, a, b, mu_c, mu_r = parts
+    n, k = a.shape
+    split = 2 * n * n
+    g = np.empty(split + 2 * n * k, dtype=complex)
+    G = g[:split].reshape(2, n, n)
+    W = XH[::-1]
+    np.subtract(mu_c @ W, W @ mu_c, out=G)
+    G[1] *= -1.0
+    G += 2.0 * (X @ mu_r - mu_r @ X)
+    g[split : split + n * k] = (mu_c @ b.conj().T - 2.0 * mu_r @ a).ravel()
+    g[split + n * k :] = (a.conj().T @ mu_c + 2.0 * b @ mu_r).ravel()
+    return g
 
 
 def _solve_once(
@@ -245,72 +279,81 @@ def _solve_once(
 
     scale = max(1.0, abs(eta)) ** 0.5
     shapes = ((N, N), (N, N), (N, k), (k, N))
-    layout = _layout(shapes)
     start = _pack([0.5 * scale * rand(shape) for shape in shapes])
     eta_id = eta * np.eye(N)
 
-    mats, best = _descend(start, layout, eta_id, opts, track=False)
-    if mats is None:
-        mats, best = _descend(start, layout, eta_id, opts, track=True)
-    if mats is None:
+    parts, best = _descend(start, k, eta_id, opts, track=False)
+    if parts is None:
+        parts, best = _descend(start, k, eta_id, opts, track=True)
+    if parts is None:
         return None, best
-    d = ADHMData(N, k, *mats)
+    X, _, a, b = parts[:4]
+    d = ADHMData(N, k, X[0], X[1], a, b)
     return d, adhm_residuals(d, eta)
 
 
-def _descend(x, layout, eta_id: np.ndarray, opts: SolveOptions, track: bool):
-    """Barzilai-Borwein gradient descent with backtracking from the packed
-    start ``x``.  Returns ``(mats, best)``: the blocks of the first iterate
-    whose residual sup norms are both at most ``opts.tol`` (``None`` on a
-    stall) and, with ``track``, the best residual pair seen (else ``None``).
-    Without ``track`` the sup norms are taken only where the Frobenius bound
-    of :func:`_solve_once` allows the ``tol`` test to pass."""
+def _descend(x, k: int, eta_id: np.ndarray, opts: SolveOptions, track: bool):
+    """Adaptive Barzilai-Borwein gradient descent with a nonmonotone
+    backtracking line search from the packed start ``x``.
+
+    Each iteration tries the ABB step: with ``s = x - x_prev``,
+    ``y = g - g_prev`` and ``sy = Re<s, y> > 0``, the short step
+    ``sy / |y|^2`` when it is below ``ABB_KAPPA`` times the long step
+    ``|s|^2 / sy``, else the long step; ``1 / max(1, |g|)`` when
+    ``sy <= 0`` and on the first iteration.  A trial ``x - alpha g`` is
+    accepted when its value is at most the largest of the last
+    ``GLL_MEMORY`` accepted values minus ``2 ARMIJO_C alpha |g|^2``, and
+    ``alpha`` is halved until it is.
+
+    Returns ``(parts, best)``: the :func:`_fused_moments` output at the
+    first iterate whose residual sup norms are both at most ``opts.tol``
+    (``None`` on a stall) and, with ``track``, the best residual pair seen
+    (else ``None``).  Without ``track`` the sup norms are taken only where
+    the Frobenius bound of :func:`_solve_once` allows the ``tol`` test to
+    pass."""
     bound = len(eta_id) * (opts.tol * (1.0 + _FROBENIUS_MARGIN)) ** 2
 
     def evaluate(vec):
-        mats = _blocks(vec, layout)
-        adj = [m.conj().T for m in mats]
-        mu_c, mu_r = _moments(mats, adj, eta_id)
-        fc2 = (np.abs(mu_c) ** 2).sum()
-        fr2 = (np.abs(mu_r) ** 2).sum()
-        may_pass = fc2 <= bound and fr2 <= bound
-        return float(fc2 + fr2), may_pass, mats, adj, mu_c, mu_r
+        parts = _fused_moments(vec, k, eta_id)
+        mu_c, mu_r = parts[4:]
+        fc2 = np.vdot(mu_c, mu_c).real
+        fr2 = np.vdot(mu_r, mu_r).real
+        return float(fc2 + fr2), fc2 <= bound and fr2 <= bound, parts
 
-    value, may_pass, mats, adj, mu_c, mu_r = evaluate(x)
-    g = _gradients(mats, adj, mu_c, mu_r)
-    best = (sup_norm(mu_c), sup_norm(mu_r)) if track else None
+    value, may_pass, parts = evaluate(x)
+    g = _fused_gradient(parts)
+    recent = deque([value], maxlen=GLL_MEMORY)
+    best = (sup_norm(parts[4]), sup_norm(parts[5])) if track else None
     x_prev = g_prev = None
 
     for _ in range(opts.max_iters):
         if track or may_pass:
-            sup_c, sup_r = sup_norm(mu_c), sup_norm(mu_r)
+            sup_c, sup_r = sup_norm(parts[4]), sup_norm(parts[5])
             if track and max(sup_c, sup_r) < max(best):
                 best = (sup_c, sup_r)
             if sup_c <= opts.tol and sup_r <= opts.tol:
-                return mats, best
+                return parts, best
 
-        # block by block: one sum over the whole vector would round differently
-        gnorm2 = float(sum(sq.sum() for sq in _blocks(np.abs(g) ** 2, layout)))
+        gnorm2 = float(np.vdot(g, g).real)
         if gnorm2 == 0.0:
             break
-        if x_prev is None:
-            alpha = 1.0 / max(1.0, gnorm2**0.5)
-        else:
+        alpha = 1.0 / max(1.0, gnorm2**0.5)
+        if x_prev is not None:
             dx = x - x_prev
             dg = g - g_prev
-            den = float(np.real(np.vdot(dx, dg)))
-            alpha = (
-                float(np.real(np.vdot(dx, dx))) / den
-                if den > 0
-                else 1.0 / max(1.0, gnorm2**0.5)
-            )
+            sy = float(np.vdot(dx, dg).real)
+            if sy > 0:
+                long_step = float(np.vdot(dx, dx).real) / sy
+                short_step = sy / float(np.vdot(dg, dg).real)
+                alpha = short_step if short_step < ABB_KAPPA * long_step else long_step
+        reference = max(recent)
         deriv = -2.0 * gnorm2
         accepted = None
         while alpha > 1e-18:
             trial = x - alpha * g
             evaluated = evaluate(trial)
             t_value = evaluated[0]
-            if np.isfinite(t_value) and t_value <= value + ARMIJO_C * alpha * deriv:
+            if np.isfinite(t_value) and t_value <= reference + ARMIJO_C * alpha * deriv:
                 accepted = evaluated
                 break
             alpha *= BACKTRACK
@@ -318,8 +361,9 @@ def _descend(x, layout, eta_id: np.ndarray, opts: SolveOptions, track: bool):
             break
         x_prev, g_prev = x, g
         x = trial
-        value, may_pass, mats, adj, mu_c, mu_r = accepted
-        g = _gradients(mats, adj, mu_c, mu_r)
+        value, may_pass, parts = accepted
+        recent.append(value)
+        g = _fused_gradient(parts)
     return None, best
 
 
@@ -332,8 +376,9 @@ def solve_adhm(
 ) -> ADHMData:
     """Solve the deformed system ``mu_C = 0, mu_R = 0`` with ``eta != 0``.
 
-    Minimizes the merged objective ``|mu_C|_F^2 + |mu_R|_F^2`` by gradient
-    descent with backtracking from a seeded random start (restarting from
+    Minimizes the merged objective ``|mu_C|_F^2 + |mu_R|_F^2`` by adaptive
+    Barzilai-Borwein gradient descent with a nonmonotone backtracking line
+    search (see :func:`_descend`) from a seeded random start (restarting from
     fresh draws if a run stalls) until both residual sup norms fall below
     ``opts.tol``; the returned data is re-verified through
     :func:`adhm_residuals`.

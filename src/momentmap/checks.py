@@ -12,9 +12,11 @@ are not checked again.  Every malformed input raises :class:`ValidationError`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
+import operator
 from collections.abc import Mapping, Sequence
 from typing import Iterable, Iterator, Tuple
 
@@ -114,10 +116,18 @@ def load_json_object(text: str, required: Iterable[str], optional: Iterable[str]
 
 def compositions(n: int, total: int) -> Iterator[Tuple[int, ...]]:
     """Exponent tuples of length ``n >= 1`` summing to ``total``, in
-    lexicographic order."""
+    lexicographic order.
+
+    Stars and bars, without recursion: the nondecreasing cut points
+    ``c_1 <= ... <= c_{n-2}`` in ``[0, total]``, in lexicographic order,
+    give the first ``n - 2`` parts ``c_1, c_2 - c_1, ...``, and the last two
+    parts run through the ``rest + 1`` splits of what remains.
+    """
     if n == 1:
         yield (total,)
         return
-    for head in range(total + 1):
-        for tail in compositions(n - 1, total - head):
-            yield (head,) + tail
+    for cuts in itertools.combinations_with_replacement(range(total + 1), n - 2):
+        head = tuple(map(operator.sub, cuts, (0,) + cuts[:-1]))
+        rest = total - (cuts[-1] if cuts else 0)
+        for last_but_one in range(rest + 1):
+            yield head + (last_but_one, rest - last_but_one)

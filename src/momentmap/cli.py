@@ -24,12 +24,14 @@ Subcommands
     Exhaustively check the two Gaussian-state exchange identities in exact
     rational arithmetic.  Exit 0 iff the deviation is exactly zero.
 
-Every subcommand takes ``--seed`` and ``--out``; the three ``solve``
-subcommands take ``--tol`` and ``--max-iters``; ``king solve`` alone takes
-``--history``, and the two ``king`` subcommands ``--allow-nonzero-slope``.
-Results are deterministic JSON (sorted keys, no timestamps); each completed
-run also emits a manifest with the command line, an SHA-256 digest of the
-input, the seed, the tool version, the wall-clock duration, and the final
+Every subcommand takes ``--out``; the two that draw random numbers,
+``king verify-universal`` and ``adhm solve``, take ``--seed``; the three
+``solve`` subcommands take ``--tol`` and ``--max-iters``; ``king solve``
+alone takes ``--history``, and the two ``king`` subcommands
+``--allow-nonzero-slope``.  Results are deterministic JSON (sorted keys, no
+timestamps); each completed run also emits a manifest with the command line,
+an SHA-256 digest of the input, the seed (``null`` for a subcommand that
+reads none), the tool version, the wall-clock duration, and the final
 status.  The manifest goes to ``<out>.manifest.json`` when ``--out`` is
 given, otherwise to the error stream.  ``--history`` writes the convergence
 history as CSV with columns ``iteration,functional,residual``.
@@ -52,7 +54,7 @@ import numpy as np
 from . import __version__
 from .adhm import adhm_residuals, adhm_to_json, solve_adhm, stabilizer_dimension
 from .cyclic import ConnectionData, universal_hamiltonian
-from .errors import ConsistencyError, SolverError, ValidationError
+from .errors import ConsistencyError, NumericError, SolverError, ValidationError
 from .fock import verify_state_identities
 from .moment import KahlerData, hamiltonian_trivial, king_residual
 from .nekrasov import (
@@ -347,10 +349,12 @@ def _cmd_fock_check(args):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # flag groups: every subcommand, the solvers, and the quiver parsers
+    # flag groups: every subcommand, the randomized ones, the solvers, and
+    # the quiver parsers
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--out", help="write the result JSON to this path")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="random seed")
     solve = argparse.ArgumentParser(add_help=False)
     solve.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
     solve.add_argument(
@@ -378,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_king_solve)
     p = king_sub.add_parser(
         "verify-universal",
-        parents=[common, slope],
+        parents=[common, seeded, slope],
         help="dual-route Hamiltonian cross-check on random data",
     )
     p.add_argument("problem", help="problem JSON path (quiver and dims)")
@@ -388,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     adhm = groups.add_parser("adhm", help="deformed ADHM equations")
     adhm_sub = adhm.add_subparsers(dest="command", required=True)
     p = adhm_sub.add_parser(
-        "solve", parents=[common, solve], help="solve the deformed equations"
+        "solve", parents=[common, seeded, solve], help="solve the deformed equations"
     )
     p.add_argument("--N", type=int, required=True, help="gauge rank")
     p.add_argument("--k", type=int, required=True, help="framing rank")
@@ -438,13 +442,13 @@ def main(argv=None) -> int:
             RunManifest(
                 command_line="momentmap " + " ".join(argv),
                 input_digest=digest,
-                seed=args.seed,
+                seed=getattr(args, "seed", None),
                 version=__version__,
                 duration_seconds=duration,
                 status=status,
             ),
         )
-    except (ValidationError, ConsistencyError) as exc:
+    except (ValidationError, ConsistencyError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

@@ -17,7 +17,9 @@ ring the Bargmann weights ``prod_i k_i! hbar^{k_i}`` solve the equation
 exactly; on ideals the solver freezes the weights near the cap to those
 Bargmann values (the stand-in for the trace-class boundary condition at
 infinity) and runs Levenberg-Marquardt with Marquardt's damping rule in
-``x = log c`` on the remaining sites.
+``x = log c`` on the remaining sites.  The Jacobian has at most ``2 n + 1``
+entries per row, one per stencil slot, so it is kept in slot form and the
+normal equations are summed from it; only ``J^T J`` itself is dense.
 
 :func:`commutator_diagnostics` measures how far the truncated shifts are
 from the exact commutation relations ``[Z_i^dagger, Z_j] = hbar delta_ij``
@@ -231,14 +233,27 @@ class DiagonalMetric:
 
 
 def fock_weights(t: FockTruncation, hbar: float) -> DiagonalMetric:
-    """Bargmann weights ``c_mu = prod_i mu_i! hbar^{|mu|}``."""
+    """Bargmann weights ``c_mu = prod_i mu_i! hbar^{|mu|}``.
+
+    Raises
+    ------
+    NumericError
+        If a weight is not a positive finite float (it overflows, as
+        ``171!`` does, or underflows to zero); the message names the site.
+    """
     hbar = check_real("hbar", hbar, positive=True)
-    vals = np.array(
-        [
-            float(math.prod(math.factorial(e) for e in m)) * hbar ** sum(m)
-            for m in t.basis
-        ]
-    )
+    vals = np.empty(len(t.basis))
+    for p, m in enumerate(t.basis):
+        try:
+            weight = float(math.prod(math.factorial(e) for e in m)) * hbar ** sum(m)
+        except OverflowError:
+            weight = math.inf
+        if not 0.0 < weight < math.inf:
+            raise NumericError(
+                f"Bargmann weight at site {m} is not a positive finite float "
+                f"(hbar={hbar!r})"
+            )
+        vals[p] = weight
     return DiagonalMetric(t, vals)
 
 
@@ -267,16 +282,24 @@ def _residual_kernel(values, sites, up, down, hbar, m, columns=None):
     ``-hbar m, +up_1, -down_1, +up_2, ...`` in this order, a missing downward
     neighbor contributing nothing.  ``columns`` maps a basis index to its
     Jacobian column, ``-1`` for a frozen weight, and ``sites`` must then be
-    the free sites in column order.  The diagonal accumulates
-    ``-up_1, -down_1, ...``; every off-diagonal cell receives one ratio.
+    the free sites in column order.
+
+    The Jacobian comes in stencil slots, as arrays ``(cols, vals)`` of shape
+    ``(len(sites), 2 n + 1)``: slot 0 holds the diagonal, slots ``2 i + 1``
+    and ``2 i + 2`` the entries of ``up_i`` and ``down_i`` (``i`` from 0).
+    Column ``-1`` marks a frozen or missing neighbor, whose value is 0.  The
+    diagonal accumulates ``-up_1, -down_1, ...``; every other entry is one
+    ratio.
     """
     vs = values[sites]
     total = np.full(len(sites), -hbar * m)
     jac = None
     if columns is not None:
-        rows = np.arange(len(sites))
-        jac = np.zeros((len(sites), len(sites)))
+        cols = np.full((len(sites), 2 * len(up) + 1), -1, dtype=np.int64)
+        vals = np.zeros(cols.shape)
+        cols[:, 0] = np.arange(len(sites))
         diag = np.zeros(len(sites))
+        jac = (cols, vals)
     for i in range(len(up)):
         ratio_up = values[up[i]] / vs
         total += ratio_up
@@ -287,15 +310,34 @@ def _residual_kernel(values, sites, up, down, hbar, m, columns=None):
         if jac is not None:
             diag -= ratio_up
             diag[has] -= ratio_dn
-            col = columns[up[i]]
-            hit = col >= 0
-            jac[rows[hit], col[hit]] = ratio_up[hit]
-            col = columns[below]
-            hit = col >= 0
-            jac[rows[has][hit], col[hit]] = ratio_dn[hit]
+            cols[:, 2 * i + 1] = columns[up[i]]
+            vals[:, 2 * i + 1] = ratio_up
+            cols[has, 2 * i + 2] = columns[below]
+            vals[has, 2 * i + 2] = ratio_dn
     if jac is not None:
-        jac[rows, rows] = diag
+        vals[:, 0] = diag
+        vals[cols < 0] = 0.0
     return total, jac
+
+
+def _normal_equations(jac, r):
+    """``J^T J`` and ``-J^T r`` for the stencil-slot Jacobian ``jac`` of
+    :func:`_residual_kernel`.
+
+    Each row of ``J`` has at most ``2 n + 1`` entries, in distinct columns,
+    so a cell of ``J^T J`` receives at most one product per row;
+    ``np.bincount`` adds the products in ascending row order, starting from
+    zero.
+    """
+    cols, vals = jac
+    size = len(cols)
+    hit = cols >= 0
+    pairs = hit[:, :, None] & hit[:, None, :]
+    cells = (cols[:, :, None] * size + cols[:, None, :])[pairs]
+    products = (vals[:, :, None] * vals[:, None, :])[pairs]
+    normal = np.bincount(cells, products, minlength=size * size).reshape(size, size)
+    rhs = -np.bincount(cols[hit], (vals * r[:, None])[hit], minlength=size)
+    return normal, rhs
 
 
 def nekrasov_residual(
@@ -363,7 +405,9 @@ def solve_nekrasov(
     frozen to Bargmann values, realizing the boundary condition; the
     logarithms of the remaining weights are the unknowns.  Each iteration
     solves the damped normal equations ``(J^T J + lam I) delta = -J^T r``
-    and accepts the step when it lowers ``|r|_2``.  The damping follows
+    and accepts the step when it lowers ``|r|_2``; ``J^T J`` and ``-J^T r``
+    are summed from the stencil slots (:func:`_normal_equations`) and the
+    damping is written onto the diagonal of ``J^T J``.  The damping follows
     Marquardt's rule: it starts at ``lam = max(1e-12, 1e-3 max diag(J^T J))``,
     is carried across iterations, is divided by 10 (floor ``1e-12``) after an
     accepted step and multiplied by 10 after a rejected trial, with at most
@@ -411,7 +455,7 @@ def solve_nekrasov(
     up, down = _stencil(t, free)
     columns = np.full(len(t.basis), -1, dtype=np.int64)
     columns[free] = np.arange(len(free))
-    eye = np.eye(len(free))
+    diagonal = np.arange(len(free))
 
     boundary = fock_weights(t, hbar).values
     x = np.log(boundary)
@@ -441,14 +485,16 @@ def solve_nekrasov(
             )
             return metric
         norm = float(np.linalg.norm(r))
-        normal = jac.T @ jac
-        rhs = -jac.T @ r
+        normal, rhs = _normal_equations(jac, r)
+        undamped = normal[diagonal, diagonal]
         if lam is None:
-            lam = max(LM_LAMBDA_FLOOR, LM_LAMBDA_START * float(np.max(np.diag(normal))))
+            lam = max(LM_LAMBDA_FLOOR, LM_LAMBDA_START * float(np.max(undamped)))
         stepped = False
         for _ in range(LM_TRIES):
+            # the damped diagonal, in place: off the diagonal lam I adds zeros
+            normal[diagonal, diagonal] = undamped + lam
             try:
-                delta = np.linalg.solve(normal + lam * eye, rhs)
+                delta = np.linalg.solve(normal, rhs)
             except np.linalg.LinAlgError:
                 lam *= LM_FACTOR
                 continue

@@ -16,6 +16,7 @@ from momentmap.checks import (
     check_keys,
     check_real,
     check_sequence,
+    compositions,
     load_json_object,
 )
 from momentmap.cyclic import BElement
@@ -258,3 +259,26 @@ def test_parsers_accept_or_raise_validation_error(case):
     except ValidationError:
         return
     assert not added_key, "an unknown key was accepted"
+
+
+def recursive_compositions(n, total):
+    """Compositions by peeling off the first part: one recursion level per
+    variable."""
+    if n == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in recursive_compositions(n - 1, total - head):
+            yield (head,) + tail
+
+
+class TestCompositions:
+    def test_same_tuples_in_the_same_order(self):
+        for n in range(1, 7):
+            for total in range(9):
+                assert list(compositions(n, total)) == list(recursive_compositions(n, total))
+
+    def test_many_variables_without_recursion(self):
+        # Peeling one variable per level raised RecursionError here.
+        ones = [parts.index(1) for parts in compositions(3000, 1)]
+        assert ones == list(range(2999, -1, -1))

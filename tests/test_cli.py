@@ -323,9 +323,16 @@ class TestManifestsAndDeterminism:
         expected = hashlib.sha256(loop_problem.read_bytes()).hexdigest()
         assert manifest["input_digest"] == expected
         assert manifest["status"] == "Converged"
-        assert manifest["seed"] == 0
+        assert manifest["seed"] is None
         assert manifest["duration_seconds"] >= 0
         assert manifest["command_line"].startswith("momentmap king solve")
+
+    def test_manifest_records_the_seed_where_one_is_read(self, tmp_path):
+        out = tmp_path / "result.json"
+        argv = ["adhm", "solve", "--N", "1", "--k", "1", "--eta", "1", "--seed", "7"]
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "result.json.manifest.json").read_text())
+        assert manifest["seed"] == 7
 
     def test_result_json_is_byte_identical_across_runs(self, nonnormal_problem, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -375,6 +382,8 @@ class TestMalformedInputExitsCleanly:
             ("nekrasov", {"n": 1, "module": "full", "D": 6, "hbar": "one"}),
             ("nekrasov", {"n": 1, "module": {"ideal": 5}, "D": 6, "hbar": 1.0}),
             ("nekrasov", {"n": 1, "module": "full", "D": 6, "hbar": 1.0, "m": None}),
+            # 171! overflows a float: a NumericError, once a bare OverflowError
+            ("nekrasov", {"n": 1, "module": "full", "D": 171, "hbar": 1.0}),
         ],
     )
     def test_error_not_traceback(self, tmp_path, capsys, group, problem):
@@ -401,13 +410,11 @@ class TestMalformedInputExitsCleanly:
 
 #: The flags each subcommand takes besides its own operands.
 FLAGS = {
-    "king solve": {
-        "--seed", "--out", "--tol", "--max-iters", "--history", "--allow-nonzero-slope",
-    },
+    "king solve": {"--out", "--tol", "--max-iters", "--history", "--allow-nonzero-slope"},
     "king verify-universal": {"--seed", "--out", "--allow-nonzero-slope", "--samples"},
     "adhm solve": {"--seed", "--out", "--tol", "--max-iters", "--N", "--k", "--eta", "--mirror"},
-    "nekrasov solve": {"--seed", "--out", "--tol", "--max-iters"},
-    "fock check-state": {"--seed", "--out", "--n", "--degree", "--rho", "--hbar"},
+    "nekrasov solve": {"--out", "--tol", "--max-iters"},
+    "fock check-state": {"--out", "--n", "--degree", "--rho", "--hbar"},
 }
 
 
@@ -425,7 +432,7 @@ class TestEveryFlagIsRead:
                     if flag not in ("-h", "--help")
                 }
         assert found == FLAGS
-        assert sum(map(len, found.values())) == 28
+        assert sum(map(len, found.values())) == 25
 
     @pytest.mark.parametrize(
         "argv",
@@ -436,6 +443,8 @@ class TestEveryFlagIsRead:
              "--max-iters", "3"],
             ["adhm", "solve", "--N", "1", "--k", "1", "--eta", "1", "--history", "h.csv"],
             ["adhm", "solve", "--N", "1", "--k", "1", "--eta", "1", "--allow-nonzero-slope"],
+            ["fock", "check-state", "--n", "1", "--degree", "0", "--rho", "1", "--hbar", "1",
+             "--seed", "3"],
         ],
     )
     def test_unread_flags_are_rejected(self, argv, capsys):

@@ -75,10 +75,34 @@ def reference_residual_and_jacobian(t, values, free, hbar, m):
     return r, jac
 
 
+def dense_jacobian(jac):
+    """The square matrix of a stencil-slot Jacobian ``(cols, vals)``."""
+    cols, vals = jac
+    out = np.zeros((len(cols), len(cols)))
+    rows = np.repeat(np.arange(len(cols)), cols.shape[1]).reshape(cols.shape)
+    hit = cols >= 0
+    out[rows[hit], cols[hit]] = vals[hit]
+    return out
+
+
+def reference_normal_equations(jac, r):
+    """``J^T J`` and ``-J^T r`` of a dense ``J``, one row at a time in
+    ascending order, over the nonzero entries of each row."""
+    normal = np.zeros((len(r), len(r)))
+    rhs = np.zeros(len(r))
+    for q in range(len(r)):
+        nonzero = np.flatnonzero(jac[q])
+        for a in nonzero:
+            rhs[a] += jac[q, a] * r[q]
+            for b in nonzero:
+                normal[a, b] += jac[q, a] * jac[q, b]
+    return normal, -rhs
+
+
 def reference_solve(t, hbar, m, opts=SolveOptions(), buffer=2):
-    """``solve_nekrasov`` with the loop residual and the normal equations
-    rebuilt on every damping retry, under the same Marquardt damping rule;
-    returns the log-weights reached."""
+    """``solve_nekrasov`` with the loop residual and the row-loop normal
+    equations rebuilt on every damping retry, under the same Marquardt
+    damping rule; returns the log-weights reached."""
     free = [p for p, mono in enumerate(t.basis) if sum(mono) <= t.D - buffer - 1]
     boundary = fock_weights(t, hbar).values
     x = np.log(boundary)
@@ -89,15 +113,15 @@ def reference_solve(t, hbar, m, opts=SolveOptions(), buffer=2):
         return reference_residual_and_jacobian(t, vals, free, hbar, m)
 
     r, jac = residual_and_jacobian(x)
-    lam = max(1e-12, 1e-3 * float(np.max(np.diag(jac.T @ jac))))
+    lam = max(1e-12, 1e-3 * float(np.max(np.diag(reference_normal_equations(jac, r)[0]))))
     for _ in range(opts.max_iters):
         if float(np.max(np.abs(r))) <= opts.tol:
             break
         norm = float(np.linalg.norm(r))
         stepped = False
         for _ in range(10):
-            lhs = jac.T @ jac + lam * np.eye(len(free))
-            rhs = -jac.T @ r
+            normal, rhs = reference_normal_equations(jac, r)
+            lhs = normal + lam * np.eye(len(free))
             try:
                 delta = np.linalg.solve(lhs, rhs)
             except np.linalg.LinAlgError:
@@ -220,6 +244,20 @@ class TestDiagonalMetric:
         assert np.allclose(c.values, [1.0, 2.0, 2 * 4.0, 6 * 8.0])
         with pytest.raises(ValidationError):
             fock_weights(t, -1.0)
+
+    @pytest.mark.parametrize(
+        "D,hbar,site", [(171, 1.0, r"\(171,\)"), (170, 5.0, r"\(\d+,\)"), (170, 1e-3, r"\(\d+,\)")]
+    )
+    def test_fock_weights_out_of_float_range(self, D, hbar, site):
+        # 171! overflows a float: float() raised a bare OverflowError.
+        t = build_truncation(1, "full", D)
+        with pytest.raises(NumericError, match=f"site {site}"):
+            fock_weights(t, hbar)
+
+    def test_fock_weights_at_the_edge_of_float_range(self):
+        t = build_truncation(1, "full", 170)
+        c = fock_weights(t, 1.0)
+        assert c.values[-1] == float(math.factorial(170))
 
 
 class TestNekrasovResidual:
@@ -541,7 +579,11 @@ class TestBitwiseParity:
             want_r, want_jac = reference_residual_and_jacobian(t, values, free, hbar, m)
             r, jac = nekrasov._residual_kernel(values, free, *stencil, hbar, m, columns)
             assert r.tobytes() == want_r.tobytes()
-            assert jac.tobytes() == want_jac.tobytes()
+            assert dense_jacobian(jac).tobytes() == want_jac.tobytes()
+            normal, rhs = nekrasov._normal_equations(jac, r)
+            want_normal, want_rhs = reference_normal_equations(want_jac, want_r)
+            assert normal.tobytes() == want_normal.tobytes()
+            assert rhs.tobytes() == want_rhs.tobytes()
             res = nekrasov_residual(t, DiagonalMetric(t, values), hbar, m)
             interior = [p for p, mono in enumerate(t.basis) if sum(mono) < D]
             want_res, _ = reference_residual_and_jacobian(t, values, interior, hbar, m)
@@ -568,7 +610,9 @@ class TestBitwiseParity:
         def residual(xvec):
             return nekrasov._residual_kernel(np.exp(xvec), free, *stencil, hbar, m)[0]
 
-        _, jac = nekrasov._residual_kernel(np.exp(x), free, *stencil, hbar, m, columns)
+        jac = dense_jacobian(
+            nekrasov._residual_kernel(np.exp(x), free, *stencil, hbar, m, columns)[1]
+        )
         eps = 1e-6
         for q, p in enumerate(free):
             step = np.zeros_like(x)
