@@ -432,23 +432,24 @@ def stabilizer_dimension(d: ADHMData) -> int:
     """
     if not isinstance(d, ADHMData):
         raise ValidationError(f"expected ADHMData, got {type(d).__name__}")
-    n = d.N
-    cols = []
-    for h in hermitian_basis(n):
-        u = 1j * h
-        image = [
-            u @ d.alpha - d.alpha @ u,
-            u @ d.beta - d.beta @ u,
-            u @ d.a,
-            -d.b @ u,
-        ]
-        vec = _pack(image)
-        cols.append(np.concatenate([vec.real, vec.imag]))
-    m = np.array(cols).T
-    if m.size == 0 or not np.any(m):
-        return n * n
+    m = _action_matrix(d)
+    if not np.any(m):
+        return d.N * d.N
     sigma = np.linalg.svd(m, compute_uv=False)
     return int(np.sum(sigma < 1e-9 * sigma[0]))
+
+
+def _action_matrix(d: ADHMData) -> np.ndarray:
+    """Real matrix of the linearized action: column ``j`` holds the real, then
+    the imaginary parts of the image of ``u = 1j * hermitian_basis(N)[j]``,
+    packed as ``([u, alpha], [u, beta], u a, -b u)``."""
+    n = d.N
+    u = 1j * hermitian_basis(n)[:, None]
+    x = np.stack([d.alpha, d.beta])
+    image = np.concatenate(
+        [part.reshape(n * n, -1) for part in (u @ x - x @ u, u @ d.a, -d.b @ u)], axis=1
+    )
+    return np.concatenate([image.real, image.imag], axis=1).T
 
 
 def adhm_to_json(d: ADHMData, eta: float) -> str:

@@ -18,7 +18,7 @@ import math
 import numbers
 import operator
 from collections.abc import Mapping, Sequence
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -131,3 +131,12 @@ def compositions(n: int, total: int) -> Iterator[Tuple[int, ...]]:
         rest = total - (cuts[-1] if cuts else 0)
         for last_but_one in range(rest + 1):
             yield head + (last_but_one, rest - last_but_one)
+
+
+def graded_monomials(n: int, max_degree: int) -> List[Tuple[int, ...]]:
+    """Exponent tuples of length ``n >= 1`` summing to at most
+    ``max_degree``, by degree and, within a degree, in decreasing
+    lexicographic order (earlier variables ranking higher)."""
+    return [
+        m for total in range(max_degree + 1) for m in reversed(list(compositions(n, total)))
+    ]

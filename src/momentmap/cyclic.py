@@ -80,9 +80,6 @@ __all__ = [
 #: inside :func:`universal_hamiltonian`.
 REALITY_TOL = 1e-10
 
-_KINDS = ("vertex", "arrow", "arrowbar")
-
-
 @dataclass(frozen=True)
 class CyclicComponent:
     """One basis component of the graded bimodule.

@@ -28,6 +28,7 @@ rational arithmetic; :func:`gram_matrix` assembles the positivity witness
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .checks import check_exponents, check_int, compositions, is_integer
+from .checks import check_exponents, check_int, graded_monomials, is_integer
 from .errors import ValidationError
 
 __all__ = [
@@ -447,7 +448,7 @@ def nf_multiply(x: NormalForm, y: NormalForm) -> NormalForm:
             base = c1 * c2
             # iterate over contraction vectors j <= min(l1, k2) componentwise
             ranges = [range(min(l1[i], k2[i]) + 1) for i in range(n)]
-            for j in _cartesian(ranges):
+            for j in itertools.product(*ranges):
                 factor = 1
                 for i in range(n):
                     ji = j[i]
@@ -463,15 +464,6 @@ def nf_multiply(x: NormalForm, y: NormalForm) -> NormalForm:
                 )
                 out[key] = out.get(key, _ZERO_POLY) + coeff
     return _form(n, out)
-
-
-def _cartesian(ranges):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for tail in _cartesian(ranges[1:]):
-            yield (head,) + tail
 
 
 def state_rho(x: NormalForm, rho) -> HbarPoly:
@@ -511,15 +503,6 @@ def dbar(x: NormalForm, i: int) -> NormalForm:
     return _form(x.n, out)
 
 
-def _monomials_up_to(n: int, degree: int):
-    """All exponent multi-indices over ``n`` variables with sum <= degree,
-    in graded lexicographic order."""
-    out = []
-    for total in range(degree + 1):
-        out.extend(sorted(compositions(n, total), reverse=True))
-    return out
-
-
 def verify_state_identities(n: int, max_degree: int, rho, hbar) -> float:
     """Sweep the two exchange identities over all normal monomials of total
     degree up to ``max_degree`` and report the largest deviation.
@@ -547,7 +530,7 @@ def verify_state_identities(n: int, max_degree: int, rho, hbar) -> float:
         return abs(poly.evaluate(float(hbar_frac)))
 
     worst = 0.0
-    exponents = _monomials_up_to(n, max_degree)
+    exponents = graded_monomials(n, max_degree)
     for k in exponents:
         for l in exponents:
             if sum(k) + sum(l) > max_degree:
@@ -567,7 +550,7 @@ def gram_matrix(n: int, max_degree: int, rho, hbar) -> np.ndarray:
     """Positivity witness: ``G[p, q] = state(m_p m_q*)`` over all normal
     monomials of total degree up to ``max_degree``, evaluated numerically."""
     n, max_degree = check_int("n", n, 1), check_int("max_degree", max_degree, 0)
-    exponents = _monomials_up_to(n, max_degree)
+    exponents = graded_monomials(n, max_degree)
     basis = [
         (k, l)
         for k in exponents

@@ -51,7 +51,7 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        A fresh ``complex128`` array of dimension 2.
+        A fresh C-ordered ``complex128`` array of dimension 2.
 
     Raises
     ------
@@ -59,7 +59,7 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
         If the array is not 2-d or contains NaN/Inf entries.
     """
     try:
-        arr = np.array(a, dtype=np.complex128)
+        arr = np.array(a, dtype=np.complex128, order="C")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name}: not convertible to a complex matrix: {exc}") from exc
     if arr.ndim != 2:
@@ -93,8 +93,9 @@ def hermitian_part(a) -> np.ndarray:
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Unchecked kernel of :func:`hermitian_part`; non-finite entries pass."""
-    return 0.5 * (a + a.conj().T)
+    """Unchecked kernel of :func:`hermitian_part`; non-finite entries pass.
+    On a stack of matrices, the stack of Hermitian parts."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def as_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -167,8 +168,7 @@ def _exp_from_eigh(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     ew = np.exp(w)
     if not np.all(np.isfinite(ew)):
         raise NumericError("matrix exponential overflowed")
-    out = (u * ew[..., None, :]) @ u.conj().swapaxes(-1, -2)
-    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+    return _hermitian_part((u * ew[..., None, :]) @ u.conj().swapaxes(-1, -2))
 
 
 def hermitian_log(h) -> np.ndarray:
@@ -273,15 +273,15 @@ def _frechet_apply(u: np.ndarray, kernel: np.ndarray, hx: np.ndarray) -> np.ndar
     eigenvectors ``u`` and :func:`_frechet_kernel` ``kernel``; stacked
     arguments broadcast over their leading axes."""
     uh = u.conj().swapaxes(-1, -2)
-    out = u @ (kernel * (uh @ hx @ u)) @ uh
-    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+    return _hermitian_part(u @ (kernel * (uh @ hx @ u)) @ uh)
 
 
-def hermitian_basis(n: int) -> list[np.ndarray]:
+def hermitian_basis(n: int) -> np.ndarray:
     """Orthonormal real basis of n x n Hermitian matrices (trace pairing).
 
-    Returns the n^2 matrices E_jj, (E_jk + E_kj)/sqrt(2), i(E_jk - E_kj)/sqrt(2)
-    for j < k, orthonormal under ``(a, b) -> Re tr(a b)``.
+    Returns the ``(n^2, n, n)`` complex stack of the matrices E_jj, then
+    (E_jk + E_kj)/sqrt(2), i(E_jk - E_kj)/sqrt(2) for each j < k, orthonormal
+    under ``(a, b) -> Re tr(a b)``; shape ``(0, 0, 0)`` at n = 0.
     """
     basis = []
     for j in range(n):
@@ -298,7 +298,7 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
             f[j, k] = 1j * _INV_SQRT2
             f[k, j] = -1j * _INV_SQRT2
             basis.append(f)
-    return basis
+    return np.array(basis, dtype=np.complex128).reshape(n * n, n, n)
 
 
 def _hermitian_coords(m: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .linalg import (
     _exp_spectrum,
     _frechet_apply,
     _hermitian_exp,
+    _hermitian_part,
     as_complex_matrix,
     as_hermitian,
     as_positive_definite,
@@ -273,11 +274,11 @@ def _gradient_block(rep, v, spectra, eta, w) -> np.ndarray:
             qv = qv + w[a.name] * (t.conj().T @ spectra[a.dst][0][0] @ t)
     (_, u_pos, k_pos), (_, u_neg, k_neg) = spectra[v]
     g = (
-        _frechet_apply(u_pos, k_pos, 0.5 * (p + p.conj().swapaxes(-1, -2)))
-        - _frechet_apply(u_neg, k_neg, 0.5 * (qv + qv.conj().swapaxes(-1, -2)))
+        _frechet_apply(u_pos, k_pos, _hermitian_part(p))
+        - _frechet_apply(u_neg, k_neg, _hermitian_part(qv))
         + eta[v] * np.eye(d, dtype=np.complex128)
     )
-    return 0.5 * (g + g.conj().swapaxes(-1, -2))
+    return _hermitian_part(g)
 
 
 def _check_gauge_directions(

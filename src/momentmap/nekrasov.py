@@ -43,7 +43,7 @@ from .checks import (
     check_keys,
     check_real,
     check_sequence,
-    compositions,
+    graded_monomials,
     load_json_object,
 )
 from .errors import ConsistencyError, NumericError, SolverError, ValidationError
@@ -79,9 +79,12 @@ LM_FACTOR = 10.0
 LM_TRIES = 10
 
 
-def _grlex_key(m: Monomial):
-    # graded order, earlier variables ranking higher within a degree
-    return (sum(m), tuple(-e for e in m))
+def _in_module(m: Monomial, generators) -> bool:
+    """Membership in the full ring (``generators`` is None) or in the monomial
+    ideal of ``generators``: ``m`` is divisible by some generator."""
+    return generators is None or any(
+        all(k >= g for k, g in zip(m, gen)) for gen in generators
+    )
 
 
 @dataclass(frozen=True)
@@ -126,10 +129,7 @@ class FockTruncation:
 
     def contains(self, m) -> bool:
         """Module membership (ignoring the degree cap)."""
-        key = check_exponents(self.n, m, "monomial")
-        if self.generators is None:
-            return True
-        return any(all(k >= g for k, g in zip(key, gen)) for gen in self.generators)
+        return _in_module(check_exponents(self.n, m, "monomial"), self.generators)
 
     def levels(self) -> Tuple[int, ...]:
         """Sorted distinct total degrees present in the basis."""
@@ -175,17 +175,7 @@ def build_truncation(
             )
         generators = tuple(gens)
 
-    def member(m: Monomial) -> bool:
-        if generators is None:
-            return True
-        return any(all(k >= g for k, g in zip(m, gen)) for gen in generators)
-
-    basis = [
-        m
-        for total in range(D + 1)
-        for m in sorted(compositions(n, total), key=_grlex_key)
-        if member(m)
-    ]
+    basis = [m for m in graded_monomials(n, D) if _in_module(m, generators)]
     if not any(sum(m) == D for m in basis):
         raise ValidationError(f"module has no monomials at the cap degree {D}")
 
@@ -340,6 +330,14 @@ def _normal_equations(jac, r):
     return normal, rhs
 
 
+def _check_metric(t, c) -> None:
+    """Check that ``t`` is a truncation and ``c`` a metric on it."""
+    if not isinstance(t, FockTruncation):
+        raise ValidationError(f"expected FockTruncation, got {type(t).__name__}")
+    if not isinstance(c, DiagonalMetric) or c.truncation.basis != t.basis:
+        raise ValidationError("metric does not belong to this truncation")
+
+
 def nekrasov_residual(
     t: FockTruncation, c: DiagonalMetric, hbar: float, m: int
 ) -> dict:
@@ -354,10 +352,7 @@ def nekrasov_residual(
         If the residual at an interior site is not finite (a shift ratio
         overflowed).
     """
-    if not isinstance(t, FockTruncation):
-        raise ValidationError(f"expected FockTruncation, got {type(t).__name__}")
-    if not isinstance(c, DiagonalMetric) or c.truncation.basis != t.basis:
-        raise ValidationError("metric does not belong to this truncation")
+    _check_metric(t, c)
     hbar = check_real("hbar", hbar)
     m = check_int("m", m, 1)
     interior = np.array(
@@ -559,10 +554,7 @@ def commutator_diagnostics(
     NumericError
         If a shift weight ``sqrt(c_{mu+e_i}/c_mu)`` overflows.
     """
-    if not isinstance(t, FockTruncation):
-        raise ValidationError(f"expected FockTruncation, got {type(t).__name__}")
-    if not isinstance(c, DiagonalMetric) or c.truncation.basis != t.basis:
-        raise ValidationError("metric does not belong to this truncation")
+    _check_metric(t, c)
     hbar = check_real("hbar", hbar)
 
     shifted = np.nonzero(t.up >= 0)

@@ -265,7 +265,7 @@ def _finite_difference_hessian(rep, s, eta, weights, scale):
             x for x in q.vertices
             if rep.dims[x] and (x == v or {v, x} in ({a.src, a.dst} for a in q.arrows))
         ]
-        basis = np.array(hermitian_basis(d))
+        basis = hermitian_basis(d)
         chunk = max(1, _HESSIAN_STACK_ENTRIES // d**2)
         for j in range(0, d * d, chunk):
             b = eps * basis[j:j + chunk]

@@ -15,6 +15,7 @@ from momentmap.adhm import (
     stabilizer_dimension,
 )
 from momentmap.errors import SolverError, ValidationError
+from momentmap.linalg import hermitian_basis
 from momentmap.moment import king_residual
 from momentmap.quiver import Representation, validate_dims
 from momentmap.solver import ARMIJO_C, BACKTRACK, SolveOptions
@@ -386,7 +387,61 @@ class TestBitwiseParity:
         ).tobytes()
 
 
+def reference_action_matrix(d):
+    """The linearized action built column by column, one basis element at a
+    time, as ``stabilizer_dimension`` did before it was stacked."""
+    cols = []
+    for h in hermitian_basis(d.N):
+        u = 1j * h
+        image = [u @ d.alpha - d.alpha @ u, u @ d.beta - d.beta @ u, u @ d.a, -d.b @ u]
+        vec = np.concatenate([m.ravel() for m in image])
+        cols.append(np.concatenate([vec.real, vec.imag]))
+    return np.array(cols).T
+
+
+def reference_stabilizer_dimension(d):
+    m = reference_action_matrix(d)
+    if m.size == 0 or not np.any(m):
+        return d.N * d.N
+    sigma = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(sigma < 1e-9 * sigma[0]))
+
+
+def degenerate_data():
+    """Per (N, k): zero data with signed zeros (stabilizer u(N), N^2), a
+    regular diagonal alpha with a, b on the first coordinate (the other N - 1
+    diagonal phases) and scalar alpha, beta with only b on the first
+    coordinate (u(N - 1), (N - 1)^2)."""
+    out = []
+    for N, k in ((1, 1), (2, 1), (3, 2), (4, 3)):
+        z = np.zeros((N, N))
+        out.append(ADHMData(N, k, z, -z, np.zeros((N, k)), -np.zeros((k, N))))
+        a = np.zeros((N, k))
+        a[0, 0] = 1.0
+        out.append(ADHMData(N, k, np.diag(np.arange(N) * 1.0), z, a, a.T.copy()))
+        out.append(ADHMData(N, k, np.eye(N) * 1j, np.eye(N) * -0.5, a * 0.0, 2.0 * a.T.copy()))
+    return out
+
+
 class TestStabilizerDimension:
+    @pytest.mark.parametrize("N", range(1, 7))
+    def test_matrix_bitwise_equal_to_the_loop_on_solved_data(self, N):
+        for k in range(1, 4):
+            d = solve_adhm(N, k, 1.0, seed=100 * N + k)
+            got = adhm._action_matrix(d)
+            want = reference_action_matrix(d)
+            assert got.shape == want.shape == (4 * N * N + 4 * N * k, N * N)
+            assert got.tobytes() == want.tobytes()
+            assert stabilizer_dimension(d) == reference_stabilizer_dimension(d) == 0
+
+    def test_matrix_bitwise_equal_to_the_loop_on_degenerate_data(self):
+        counts = []
+        for d in degenerate_data():
+            assert adhm._action_matrix(d).tobytes() == reference_action_matrix(d).tobytes()
+            counts.append(stabilizer_dimension(d))
+            assert counts[-1] == reference_stabilizer_dimension(d)
+        assert counts == [c for N in range(1, 5) for c in (N * N, N - 1, (N - 1) ** 2)]
+
     def test_zero_data_full_algebra(self):
         for N in (1, 2, 3):
             d = ADHMData(

@@ -17,6 +17,7 @@ from momentmap.checks import (
     check_real,
     check_sequence,
     compositions,
+    graded_monomials,
     load_json_object,
 )
 from momentmap.cyclic import BElement
@@ -270,6 +271,30 @@ def recursive_compositions(n, total):
     for head in range(total + 1):
         for tail in recursive_compositions(n - 1, total - head):
             yield (head,) + tail
+
+
+def reference_grlex_key(m):
+    """The sort key of the graded order before it had one enumeration:
+    degree, then earlier variables ranking higher."""
+    return (sum(m), tuple(-e for e in m))
+
+
+class TestGradedMonomials:
+    def test_equals_the_sorted_graded_order(self):
+        for n in range(1, 5):
+            for degree in range(7):
+                everything = [m for d in range(degree + 1) for m in compositions(n, d)]
+                got = graded_monomials(n, degree)
+                assert got == sorted(everything, key=reference_grlex_key)
+                # the per-degree reverse sort the Fock sweeps used
+                assert got == [
+                    m for d in range(degree + 1) for m in sorted(compositions(n, d), reverse=True)
+                ]
+
+    def test_reiterable_list(self):
+        got = graded_monomials(2, 2)
+        assert isinstance(got, list)
+        assert got == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
 class TestCompositions:

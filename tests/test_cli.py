@@ -3,10 +3,15 @@
 import csv
 import hashlib
 import json
+import os
+import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import momentmap
 from momentmap.cli import _build_parser, main
 from momentmap.nekrasov import (
     DiagonalMetric,
@@ -450,3 +455,24 @@ class TestEveryFlagIsRead:
     def test_unread_flags_are_rejected(self, argv, capsys):
         assert main(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_module_imports_without_scipy():
+    # scipy is a test dependency only: the package must import without it.
+    names = ["momentmap"] + [
+        f"momentmap.{info.name}" for info in pkgutil.iter_modules(momentmap.__path__)
+    ]
+    assert "momentmap.cli" in names and "momentmap.solver" in names
+    src = os.path.dirname(os.path.dirname(momentmap.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import importlib, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "assert sys.modules['scipy'] is None\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *names], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

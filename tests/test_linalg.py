@@ -6,7 +6,9 @@ import pytest
 
 from momentmap.errors import ValidationError
 from momentmap.linalg import (
+    _INV_SQRT2,
     _hermitian_coords,
+    _hermitian_part,
     _hermitian_from_coords,
     as_complex_matrix,
     as_hermitian,
@@ -38,6 +40,17 @@ class TestConstructors:
     def test_rejects_inf(self):
         with pytest.raises(ValidationError):
             as_complex_matrix([[0.0, 1j * np.inf], [0.0, 1.0]])
+
+    def test_any_memory_layout(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        for view in (a.T, np.asfortranarray(a), a[:, ::2], a.real.T, a[::-1, ::-2].T):
+            got = as_complex_matrix(view)
+            assert got.flags.c_contiguous
+            npt.assert_array_equal(got, view)
+        bad = np.asfortranarray([[0.0, 1.0], [np.nan, 2.0]])
+        with pytest.raises(ValidationError, match="non-finite"):
+            as_complex_matrix(bad)
 
     def test_hermitian_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
@@ -211,7 +224,43 @@ class TestFrechetExp:
         npt.assert_allclose(frechet_exp(s, x), x, atol=1e-13)
 
 
+def reference_hermitian_basis(n):
+    """The basis as the list it was built as before it became a stack."""
+    basis = []
+    for j in range(n):
+        e = np.zeros((n, n), dtype=np.complex128)
+        e[j, j] = 1.0
+        basis.append(e)
+    for j in range(n):
+        for k in range(j + 1, n):
+            e = np.zeros((n, n), dtype=np.complex128)
+            e[j, k] = e[k, j] = _INV_SQRT2
+            f = np.zeros((n, n), dtype=np.complex128)
+            f[j, k], f[k, j] = 1j * _INV_SQRT2, -1j * _INV_SQRT2
+            basis += [e, f]
+    return basis
+
+
+class TestHermitianPart:
+    def test_stack_is_bitwise_the_per_matrix_symmetrisation(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5):
+            stack = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
+            got = _hermitian_part(stack)
+            for a, g in zip(stack, got):
+                assert g.tobytes() == (0.5 * (a + a.conj().T)).tobytes()
+                assert _hermitian_part(a).tobytes() == g.tobytes()
+
+
 class TestHermitianBasis:
+    def test_stack_equals_the_list(self):
+        assert hermitian_basis(0).shape == (0, 0, 0)
+        assert hermitian_basis(0).dtype == np.complex128
+        for n in range(1, 9):
+            got = hermitian_basis(n)
+            assert got.shape == (n * n, n, n) and got.dtype == np.complex128
+            assert got.tobytes() == np.array(reference_hermitian_basis(n)).tobytes()
+
     def test_orthonormal_and_complete(self):
         n = 3
         basis = hermitian_basis(n)

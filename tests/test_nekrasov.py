@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from momentmap import nekrasov
+from momentmap.checks import compositions
 from momentmap.errors import NumericError, SolverError, ValidationError
 from momentmap.nekrasov import (
     CommutatorReport,
@@ -170,6 +171,35 @@ class TestBuildTruncation:
         assert t.basis == ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
         full = build_truncation(2, "full", 2)
         assert len(full.basis) - len(t.basis) == 1
+
+    @pytest.mark.parametrize(
+        "n, module, D",
+        [(1, "full", 5), (1, [(2,)], 6), (2, "full", 6), (2, [(1, 0), (0, 1)], 5),
+         (2, [(2, 0), (0, 3)], 7), (3, "full", 4), (3, [(1, 1, 0), (0, 0, 2)], 5),
+         (4, [(1, 0, 0, 1)], 4)],
+    )
+    def test_basis_and_tables_match_the_sorted_filter(self, n, module, D):
+        gens = None if module == "full" else [tuple(g) for g in module]
+
+        def member(m):
+            return gens is None or any(all(k >= g for k, g in zip(m, gen)) for gen in gens)
+
+        t = build_truncation(n, module, D)
+        want = sorted(
+            (m for total in range(D + 1) for m in compositions(n, total) if member(m)),
+            key=lambda m: (sum(m), tuple(-e for e in m)),
+        )
+        assert t.basis == tuple(want)
+        for p, m in enumerate(t.basis):
+            assert t.contains(m)
+            for i in range(n):
+                raised = m[:i] + (m[i] + 1,) + m[i + 1:]
+                assert t.up[i, p] == (t.index(raised) if sum(raised) <= D else -1)
+                lowered = m[:i] + (m[i] - 1,) + m[i + 1:]
+                want_down = t.index(lowered) if m[i] and member(lowered) else -1
+                assert t.down[i, p] == want_down
+        outside = [m for m in compositions(n, D + 1) if not member(m)]
+        assert not any(t.contains(m) for m in outside)
 
     def test_membership(self):
         t = build_truncation(2, [(2, 0), (0, 1)], 4)

@@ -233,6 +233,18 @@ class TestSolveMetricExamples:
         assert king_residual(rep, out.metric, eta).sup <= SolveOptions().tol
 
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_canonical_jordan_loop_never_converges(self, d):
+        # Nilpotent data has no solution.  The in-loop stationarity probe
+        # keeps tiny steps from certifying one: without it the 2-, 3- and
+        # 4-loops return Converged.
+        rep = loop_rep(np.diag(np.ones(d - 1), 1))
+        out = solve_metric(rep, {"v": 0.0}, opts=SolveOptions(max_iters=300))
+        assert out.status is not SolveStatus.CONVERGED
+        assert out.metric is None
+        if out.status is SolveStatus.DIVERGED:
+            assert out.certificate.subdims == {"v": 1}
+
     @pytest.mark.parametrize("d", [5, 6])
     def test_canonical_jordan_loop_diverges_to_one_line(self, d):
         # A rounding-level change in the Newton endgame turns the 6x6 loop's
