@@ -19,6 +19,8 @@ The deformed system is solved by adaptive Barzilai-Borwein gradient descent
 with a nonmonotone (Grippo-Lampariello-Lucidi) backtracking line search on
 the merged least-squares objective ``|mu_C|_F^2 + |mu_R|_F^2`` from a seeded
 random start; positive ``eta`` forces ``b`` over ``a`` in the rank-1 case.
+The line search is :func:`momentmap.solver._backtrack`, the one
+backtracking loop that the King flow's step kinds share.
 The descent works on one packed vector: ``alpha, beta`` are one
 ``(2, N, N)`` view of it, so each moment evaluation and each gradient takes
 stacked products.
@@ -40,7 +42,7 @@ from .checks import check_int, check_real, load_json_object
 from .errors import ConsistencyError, SolverError, ValidationError
 from .linalg import as_complex_matrix, hermitian_basis, sup_norm
 from .quiver import Arrow, Quiver, matrix_from_json, matrix_to_json
-from .solver import ARMIJO_C, BACKTRACK, SolveOptions
+from .solver import SolveOptions, _backtrack
 
 __all__ = [
     "ADHMData",
@@ -300,10 +302,11 @@ def _descend(x, k: int, eta_id: np.ndarray, opts: SolveOptions, track: bool):
     ``y = g - g_prev`` and ``sy = Re<s, y> > 0``, the short step
     ``sy / |y|^2`` when it is below ``ABB_KAPPA`` times the long step
     ``|s|^2 / sy``, else the long step; ``1 / max(1, |g|)`` when
-    ``sy <= 0`` and on the first iteration.  A trial ``x - alpha g`` is
-    accepted when its value is at most the largest of the last
-    ``GLL_MEMORY`` accepted values minus ``2 ARMIJO_C alpha |g|^2``, and
-    ``alpha`` is halved until it is.
+    ``sy <= 0`` and on the first iteration.  The line search is
+    :func:`momentmap.solver._backtrack`: a trial ``x - alpha g`` is accepted
+    when its value is at most the largest of the last ``GLL_MEMORY``
+    accepted values minus ``2 ARMIJO_C alpha |g|^2``, and ``alpha`` shrinks
+    by ``BACKTRACK`` down to ``1e-18`` until it is.
 
     Returns ``(parts, best)``: the :func:`_fused_moments` output at the
     first iterate whose residual sup norms are both at most ``opts.tol``
@@ -346,22 +349,17 @@ def _descend(x, k: int, eta_id: np.ndarray, opts: SolveOptions, track: bool):
                 long_step = float(np.vdot(dx, dx).real) / sy
                 short_step = sy / float(np.vdot(dg, dg).real)
                 alpha = short_step if short_step < ABB_KAPPA * long_step else long_step
-        reference = max(recent)
-        deriv = -2.0 * gnorm2
-        accepted = None
-        while alpha > 1e-18:
-            trial = x - alpha * g
-            evaluated = evaluate(trial)
-            t_value = evaluated[0]
-            if np.isfinite(t_value) and t_value <= reference + ARMIJO_C * alpha * deriv:
-                accepted = evaluated
-                break
-            alpha *= BACKTRACK
+
+        def trial(step):
+            point = x - step * g
+            evaluated = evaluate(point)
+            return (point, evaluated), evaluated[0]
+
+        accepted = _backtrack(trial, alpha, max(recent), -2.0 * gnorm2, 1e-18)
         if accepted is None:
             break
         x_prev, g_prev = x, g
-        x = trial
-        value, may_pass, parts = accepted
+        (x, (value, may_pass, parts)), _ = accepted
         recent.append(value)
         g = _fused_gradient(parts)
     return None, best

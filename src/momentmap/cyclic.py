@@ -54,7 +54,7 @@ import numpy as np
 
 from .checks import check_int, check_keys
 from .errors import ConsistencyError, ValidationError
-from .linalg import metric_adjoint
+from .linalg import _metric_adjoint
 from .moment import (
     KahlerData,
     _check_gauge_directions,
@@ -353,9 +353,7 @@ class ConnectionData:
         h = _check_metric(self.rep, self.metric)
         adjoints = {}
         for a in self.rep.quiver.arrows:
-            adjoints[a.name] = metric_adjoint(
-                self.rep.matrices[a.name], h[a.src], h[a.dst]
-            )
+            adjoints[a.name] = _metric_adjoint(self.rep.matrices[a.name], h[a.src], h[a.dst])
         object.__setattr__(self, "metric", h)
         object.__setattr__(self, "adjoints", adjoints)
 

@@ -180,11 +180,13 @@ def hermitian_log(h) -> np.ndarray:
     ------
     ValidationError
         If ``h`` has a non-positive eigenvalue.
+    NumericError
+        If the eigendecomposition fails to converge.
     """
     pd = as_positive_definite(h, name="metric")
     if pd.shape[0] == 0:
         return pd
-    w, u = np.linalg.eigh(pd)
+    w, u = _eigh(pd)
     out = (u * np.log(w)) @ u.conj().T
     return hermitian_part(out)
 
@@ -199,20 +201,25 @@ def metric_adjoint(t, h_src, h_dst) -> np.ndarray:
     Raises
     ------
     ValidationError
-        On dimension mismatch.
+        On dimension mismatch, or if either metric is not Hermitian
+        positive-definite.
     """
     tm = as_complex_matrix(t, name="arrow matrix")
-    hs = as_complex_matrix(h_src, name="source metric")
-    hd = as_complex_matrix(h_dst, name="target metric")
+    hs = as_positive_definite(h_src, name="source metric")
+    hd = as_positive_definite(h_dst, name="target metric")
     d_dst, d_src = tm.shape
     if hs.shape != (d_src, d_src) or hd.shape != (d_dst, d_dst):
         raise ValidationError(
             f"metric_adjoint: shape mismatch, T {tm.shape}, "
             f"h_src {hs.shape}, h_dst {hd.shape}"
         )
-    if d_src == 0 or d_dst == 0:
-        return np.zeros((d_src, d_dst), dtype=np.complex128)
-    return np.linalg.solve(hs, tm.conj().T @ hd)
+    return _metric_adjoint(tm, hs, hd)
+
+
+def _metric_adjoint(t: np.ndarray, h_src: np.ndarray, h_dst: np.ndarray) -> np.ndarray:
+    """Unchecked kernel of :func:`metric_adjoint`: the metrics are Hermitian
+    positive-definite of the sizes ``t`` asks for (empty sizes too)."""
+    return np.linalg.solve(h_src, t.conj().T @ h_dst)
 
 
 def _sinch(x: np.ndarray) -> np.ndarray:

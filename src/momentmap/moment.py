@@ -36,6 +36,7 @@ from .linalg import (
     _frechet_apply,
     _hermitian_exp,
     _hermitian_part,
+    _metric_adjoint,
     as_complex_matrix,
     as_hermitian,
     as_positive_definite,
@@ -170,7 +171,7 @@ def _king_residual(rep, h, eta, w) -> MomentResidual:
         t = rep.matrices[a.name]
         if t.size == 0:
             continue
-        adj = np.linalg.solve(h[a.src], t.conj().T @ h[a.dst])
+        adj = _metric_adjoint(t, h[a.src], h[a.dst])
         blocks[a.src] = blocks[a.src] + w[a.name] * (adj @ t)
         blocks[a.dst] = blocks[a.dst] - w[a.name] * (t @ adj)
     sup = max((sup_norm(b) for b in blocks.values()), default=0.0)
@@ -309,7 +310,11 @@ def _check_gauge_directions(
 def gauge_variation(rep: Representation, u: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Infinitesimal gauge action on arrow matrices:
     ``[A, u]_a = u_{t(a)} A_a - A_a u_{s(a)}``."""
-    u = _check_gauge_directions(rep, u)
+    return _gauge_variation(rep, _check_gauge_directions(rep, u))
+
+
+def _gauge_variation(rep: Representation, u: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Unchecked kernel of :func:`gauge_variation`."""
     out = {}
     for a in rep.quiver.arrows:
         t = rep.matrices[a.name]
@@ -317,26 +322,20 @@ def gauge_variation(rep: Representation, u: Mapping[str, np.ndarray]) -> dict[st
     return out
 
 
-def _hamiltonian_core(
-    quiver: Quiver,
-    weights: Mapping[str, float],
-    eta: Mapping[str, float],
-    u: Mapping[str, np.ndarray],
-    arrow_mats: Mapping[str, np.ndarray],
-) -> float:
+def _hamiltonian_core(rep: Representation, weights, eta, u) -> float:
     """Shared Hamiltonian kernel:
     ``-sum_v eta_v Im tr(u_v) + 1/2 Im sum_a w_a tr(A_a ([A,u]_a)^dagger)``."""
     total = 0.0
-    for v in quiver.vertices:
+    for v in rep.quiver.vertices:
         m = u[v]
         if m.size:
             total -= eta[v] * float(np.trace(m).imag)
-    for a in quiver.arrows:
-        t = arrow_mats[a.name]
+    var = _gauge_variation(rep, u)
+    for a in rep.quiver.arrows:
+        t = rep.matrices[a.name]
         if t.size == 0:
             continue
-        var = u[a.dst] @ t - t @ u[a.src]
-        total += 0.5 * weights[a.name] * float(np.trace(t @ var.conj().T).imag)
+        total += 0.5 * weights[a.name] * float(np.trace(t @ var[a.name].conj().T).imag)
     return total
 
 
@@ -358,7 +357,7 @@ def hamiltonian_trivial(
     w = _weights(q, kahler)
     eta = validate_eta(q, eta)
     u = _check_gauge_directions(rep, u)
-    return _hamiltonian_core(q, w, eta, u, rep.matrices)
+    return _hamiltonian_core(rep, w, eta, u)
 
 
 def hamiltonian_projector(
@@ -400,7 +399,7 @@ def hamiltonian_projector(
             raise ValidationError(
                 f"arrow {a.name!r} is not supported between the projector images"
             )
-    return _hamiltonian_core(q, w, eta, u, ambient.matrices)
+    return _hamiltonian_core(ambient, w, eta, u)
 
 
 def poisson_bracket_check(
@@ -425,13 +424,13 @@ def poisson_bracket_check(
     eta = validate_eta(q, eta)
     u1 = _check_gauge_directions(rep, u1, "u1")
     u2 = _check_gauge_directions(rep, u2, "u2")
-    v1 = gauge_variation(rep, u1)
-    v2 = gauge_variation(rep, u2)
+    v1 = _gauge_variation(rep, u1)
+    v2 = _gauge_variation(rep, u2)
     lhs = 0.0
     for a in q.arrows:
         if v1[a.name].size == 0:
             continue
         lhs += w[a.name] * float(np.trace(v1[a.name] @ v2[a.name].conj().T).imag)
     bracket = {v: u2[v] @ u1[v] - u1[v] @ u2[v] for v in q.vertices}
-    rhs = _hamiltonian_core(q, w, eta, bracket, rep.matrices)
+    rhs = _hamiltonian_core(rep, w, eta, bracket)
     return lhs, rhs

@@ -3,7 +3,11 @@
 
 The driver runs Armijo-backtracked steepest descent with a safeguarded
 Barzilai-Borwein initial step, switching to Tikhonov-damped Newton once the
-residual is small.  Three safeguards matter on hard instances:
+residual is small.  Its four step kinds -- the main step, the Newton rescue,
+the descent probe and the residual polish -- share one line search,
+:func:`_line_search`, which caps the trial step at ``STEP_CAP`` and shrinks
+it in :func:`_backtrack`, the package's one backtracking loop.  Three
+safeguards matter on hard instances:
 
 * On non-polystable instances the residual decays to zero *along an escaping
   flow* (the orbit closure contains a smaller representation), so a small
@@ -40,8 +44,8 @@ from .checks import check_int, check_real
 from .errors import MomentMapError, NumericError, SolverError, ValidationError
 # ``hermitian_exp`` is unused here but stays importable from this module.
 from .linalg import (
-    _exp_spectrum, _hermitian_coords, _hermitian_exp, _hermitian_from_coords, _hermitian_part,
-    hermitian_basis, hermitian_exp, hermitian_part, sup_norm,
+    _eigh, _exp_spectrum, _hermitian_coords, _hermitian_exp, _hermitian_from_coords,
+    _hermitian_part, hermitian_basis, hermitian_exp, hermitian_part, sup_norm,
 )
 from .moment import (
     KahlerData, _gradient_block, _kempf_ness_gradient, _kempf_ness_value, _king_residual,
@@ -166,7 +170,8 @@ def extract_destabilizer(
     ``s`` is normalized to unit operator norm and its eigenvalues are pooled
     across vertices; the split is taken below the midpoint of the largest gap
     in the pooled spectrum (below the median eigenvalue if all gaps agree to
-    1e-9).  Requires ``max_v ||s_v|| >= 1``.
+    1e-9).  Requires ``max_v ||s_v|| >= 1``; a failed eigendecomposition is
+    a :class:`NumericError`.
     """
     eta = validate_eta(rep.quiver, eta)
     norm = _family_sup(s)
@@ -180,7 +185,7 @@ def extract_destabilizer(
         if sigma[v].size == 0:
             eigen[v] = (np.zeros(0), np.zeros((0, 0), dtype=np.complex128))
             continue
-        w, u = np.linalg.eigh(hermitian_part(sigma[v]))
+        w, u = _eigh(hermitian_part(sigma[v]))
         eigen[v] = (w, u)
         pooled.extend(w.tolist())
     pooled = np.sort(np.asarray(pooled))
@@ -311,6 +316,13 @@ def _refine_by_residual(rep, s, eta, weights, opts, residual, metric, direction)
     it (``None`` computes it here).
     """
     best_s, best_res, best_metric = s, residual, metric
+    trial_metric = None
+
+    def king_sup(point):
+        nonlocal trial_metric
+        trial_metric = {v: _hermitian_exp(point[v]) for v in point}
+        return _king_residual(rep, trial_metric, eta, weights).sup
+
     for _ in range(60):
         if best_res <= opts.tol:
             break
@@ -319,53 +331,58 @@ def _refine_by_residual(rep, s, eta, weights, opts, residual, metric, direction)
             direction, _ = _newton_direction(rep, best_s, eta, weights, grad, best_res)
             if direction is None:
                 direction = {v: -grad[v] for v in rep.quiver.vertices}
-        alpha = 1.0
-        improved = False
-        while alpha > 1e-8:
-            cand = {
-                v: _hermitian_part(best_s[v] + alpha * direction[v])
-                for v in rep.quiver.vertices
-            }
-            try:
-                cand_metric = {v: _hermitian_exp(cand[v]) for v in cand}
-                cand_res = _king_residual(rep, cand_metric, eta, weights).sup
-            except NumericError:
-                alpha *= 0.5
-                continue
-            if cand_res < best_res:
-                best_s, best_res, best_metric = cand, cand_res, cand_metric
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
+        step = _line_search(king_sup, best_s, direction, 1.0, best_res, 0.0, 1e-8, strict=True)
+        if step is None:
             break
+        # the accepted trial is the last one evaluated
+        (best_s, best_res), best_metric = step, trial_metric
         direction = None
     return best_s, best_res, best_metric
 
 
-def _armijo_search(functional, vertices, s, value, direction, deriv, alpha):
-    """Backtracking line search with the Armijo sufficient-decrease rule.
-
-    Returns ``(new_s, new_value)`` for the first accepted trial, or ``None``
-    when every trial down to the numerical floor is rejected.
-    """
-    while alpha > 1e-16:
-        cand = {v: _hermitian_part(s[v] + alpha * direction[v]) for v in vertices}
+def _backtrack(trial, alpha, reference, deriv, floor, strict=False):
+    """The package's one step-length backtracking loop: returns the first
+    ``trial(alpha) = (point, value)`` with a finite ``value`` ``<=`` (with
+    ``strict``, ``<``) ``reference + ARMIJO_C * alpha * deriv``, shrinking
+    ``alpha`` by ``BACKTRACK`` while ``alpha > floor``; else ``None``.  A
+    trial that raises :class:`NumericError` is rejected; any other error
+    leaves the search."""
+    while alpha > floor:
         try:
-            cand_value = functional(cand)
+            point, value = trial(alpha)
         except NumericError:
             alpha *= BACKTRACK
             continue
-        if np.isfinite(cand_value) and cand_value <= value + ARMIJO_C * alpha * deriv:
-            return cand, cand_value
+        bound = reference + ARMIJO_C * alpha * deriv
+        if np.isfinite(value) and (value < bound if strict else value <= bound):
+            return point, value
         alpha *= BACKTRACK
     return None
+
+
+def _line_search(evaluate, s, direction, alpha, reference, deriv, floor=1e-16, strict=False):
+    """:func:`_backtrack` over the trials ``_hermitian_part(s + a direction)``
+    valued by ``evaluate``, from ``alpha`` capped to a step of sup norm
+    ``STEP_CAP`` (``np.inf`` asks for that full length).  The cap bounds step
+    length, not ``alpha``: along escaping directions the gradient decays
+    exponentially while Barzilai-Borwein ``alpha`` grows to compensate.  A
+    zero direction takes no step."""
+    dir_sup = _family_sup(direction)
+    if dir_sup == 0.0:
+        return None
+    alpha = float(min(alpha, STEP_CAP / dir_sup))
+
+    def trial(a):
+        point = {v: _hermitian_part(s[v] + a * direction[v]) for v in direction}
+        return point, evaluate(point)
+
+    return _backtrack(trial, alpha, reference, deriv, floor, strict)
 
 
 def _descent_probe(vertices, s, value, grad, functional):
     """Distinguish a genuine minimum from an escaping valley at a stall.
 
-    Attempt an Armijo-checked steepest-descent step whose *trial length* is
+    Attempt a strict Armijo steepest-descent step whose *trial length* is
     ``STEP_CAP`` regardless of the gradient's magnitude.  Near a minimum no
     order-one step can decrease the functional, so every trial is rejected
     down to the stationarity scale and the probe returns ``None``; along an
@@ -377,20 +394,9 @@ def _descent_probe(vertices, s, value, grad, functional):
     dir_sup = _family_sup(direction)
     if dir_sup == 0.0:
         return None
+    floor = STATIONARY_STEP * max(1.0, _family_sup(s)) / dir_sup
     deriv = -_family_inner(grad, grad)
-    alpha = STEP_CAP / dir_sup
-    floor = STATIONARY_STEP * max(1.0, _family_sup(s))
-    while alpha * dir_sup > floor:
-        cand = {v: _hermitian_part(s[v] + alpha * direction[v]) for v in vertices}
-        try:
-            cand_value = functional(cand)
-        except NumericError:
-            alpha *= 0.5
-            continue
-        if np.isfinite(cand_value) and cand_value < value + 1e-4 * alpha * deriv:
-            return cand, cand_value
-        alpha *= 0.5
-    return None
+    return _line_search(functional, s, direction, np.inf, value, deriv, floor, strict=True)
 
 
 def solve_metric(
@@ -490,19 +496,16 @@ def solve_metric(
             direction = {v: -grad[v] for v in vertices}
             deriv = -gnorm2
 
-        # --- initial step: unit for Newton, safeguarded BB for descent.
-        # BB is capped by trial *step length*, not raw alpha: along escaping
-        # directions the gradient decays exponentially while alpha grows to
-        # compensate, and their product is the quantity to control.
-        dir_sup = _family_sup(direction)
+        # --- initial step: unit for Newton, safeguarded BB for descent;
+        # the line search caps it by trial step length.
         if use_newton:
             alpha = 1.0
-        elif probe and dir_sup > 0:
+        elif probe:
             # Stationarity probe: force a full-length trial along steepest
             # descent.  At a genuine minimum the line search shrinks it back
             # to a negligible step; along an escaping valley it is accepted
             # at full length and the trajectory keeps growing.
-            alpha = STEP_CAP / dir_sup
+            alpha = np.inf
         elif prev_s is not None:
             ds = {v: s[v] - prev_s[v] for v in vertices}
             dg = {v: grad[v] - prev_grad[v] for v in vertices}
@@ -511,11 +514,8 @@ def solve_metric(
             alpha = num / den if (den > 0 and num > 0) else 1.0 / max(1.0, gsup)
         else:
             alpha = 1.0 / max(1.0, gsup)
-        if dir_sup > 0:
-            alpha = float(min(alpha, STEP_CAP / dir_sup))
 
-        # --- Armijo backtracking
-        step = _armijo_search(functional, vertices, s, value, direction, deriv, alpha)
+        step = _line_search(functional, s, direction, alpha, value, deriv)
         accepted = step is not None
         if accepted:
             new_s, new_value = step
@@ -530,11 +530,7 @@ def solve_metric(
                     newton = _newton_direction(rep, s, eta, weights, grad, residual)
                 r_dir, r_deriv = newton
                 if r_dir is not None:
-                    r_sup = _family_sup(r_dir)
-                    r_alpha = min(1.0, STEP_CAP / r_sup) if r_sup > 0 else 1.0
-                    step = _armijo_search(
-                        functional, vertices, s, value, r_dir, r_deriv, r_alpha
-                    )
+                    step = _line_search(functional, s, r_dir, 1.0, value, r_deriv)
                     if step is not None and step[1] < value:
                         new_s, new_value = step
                         accepted = True

@@ -180,6 +180,13 @@ class TestMetricAdjoint:
         with pytest.raises(ValidationError):
             metric_adjoint(np.zeros((2, 3)), np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("h_src", [np.zeros((2, 2)), -np.eye(2)])
+    def test_rejects_a_metric_that_is_not_positive_definite(self, h_src):
+        with pytest.raises(ValidationError, match="source metric: not positive-definite"):
+            metric_adjoint(np.ones((2, 2)), h_src, np.eye(2))
+        with pytest.raises(ValidationError, match="target metric: not positive-definite"):
+            metric_adjoint(np.ones((2, 2)), np.eye(2), h_src)
+
 
 def make_pd(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

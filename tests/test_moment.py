@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from momentmap import moment
 from momentmap.errors import ValidationError
 from momentmap.linalg import _frechet_exp, _hermitian_exp, hermitian_basis, hermitian_exp, sup_norm
 from momentmap.moment import (
@@ -477,6 +478,22 @@ class TestPoissonBracket:
             u2 = {v: rand_antiherm(rng, 2) for v in q.vertices}
             lhs, rhs = poisson_bracket_check(u1, u2, rep, eta, weights)
             assert abs(lhs - rhs) < 1e-10
+
+    def test_each_direction_is_checked_once(self, monkeypatch):
+        calls = []
+        check = moment._check_gauge_directions
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(moment, "_check_gauge_directions", counted)
+        q = two_vertex_quiver()
+        rep = random_representation(q, {"1": 2, "2": 2}, seed=10)
+        rng = np.random.default_rng(15)
+        u1, u2 = ({v: rand_antiherm(rng, 2) for v in q.vertices} for _ in range(2))
+        poisson_bracket_check(u1, u2, rep, {"1": 1.0, "2": -1.0})
+        assert len(calls) == 2
 
 
 class TestGaugeVariation:

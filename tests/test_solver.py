@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from momentmap import linalg, solver
-from momentmap.errors import ValidationError
+from momentmap.errors import NumericError, ValidationError
 from momentmap.linalg import hermitian_basis, hermitian_log, sup_norm
 from momentmap.moment import (
     _kempf_ness_gradient,
@@ -357,22 +357,77 @@ class TestNewtonEndgame:
         eta, weights = {"v": 0.0}, {"l0": 1.0}
         s = {"v": np.zeros((2, 2), dtype=np.complex128)}
         grad = _kempf_ness_gradient(rep, s, eta, weights)
+        trials = []
 
         def functional(point):
+            # the exponential overflows past sup norm 1 in this model
+            trials.append(sup_norm(point["v"]))
+            if trials[-1] > 1.0:
+                raise NumericError("matrix exponential overflowed")
             return _kempf_ness_value(rep, point, eta, weights)
 
-        value = functional(s)
+        value = _kempf_ness_value(rep, s, eta, weights)
         big = {"v": -1e10 * grad["v"]}
         deriv = -1e10 * float(np.trace(grad["v"] @ grad["v"]).real)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # The first trial, 1e300 times the direction, is not finite.
-            assert not np.all(np.isfinite(1e300 * big["v"]))
-            step = solver._armijo_search(functional, ["v"], s, value, big, deriv, 1e300)
+        # a start of 1e300 times the direction is capped to a step of STEP_CAP
+        step = solver._line_search(functional, s, big, 1e300, value, deriv)
         assert step is not None
         new_s, new_value = step
         assert new_value < value
-        assert 0 < sup_norm(new_s["v"]) <= solver.STEP_CAP
+        assert trials[0] == pytest.approx(solver.STEP_CAP)
+        assert 0 < sup_norm(new_s["v"]) <= 1.0 < trials[-2]
 
+    @pytest.mark.parametrize("kind", ["main", "rescue", "probe", "polish"])
+    def test_numeric_error_in_a_trial_is_a_backtrack(self, monkeypatch, kind):
+        # The first trial of one step kind raises NumericError; the search
+        # halves the step and goes on.  For the rescue, the main step before
+        # it is made to stall.
+        line_search = solver._line_search
+        calls, steps, trials = [], [], []
+
+        def spied(evaluate, s, direction, *args, **kwargs):
+            calls.append(1)
+            if kind == "rescue" and len(calls) == 1:
+                return None
+            if steps:
+                return line_search(evaluate, s, direction, *args, **kwargs)
+
+            def failing(point):
+                trials.append(max(sup_norm(point[v] - s[v]) for v in point))
+                if len(trials) == 1:
+                    raise NumericError("matrix exponential overflowed")
+                return evaluate(point)
+
+            steps.append(line_search(failing, s, direction, *args, **kwargs))
+            return steps[0]
+
+        monkeypatch.setattr(solver, "_line_search", spied)
+        s = {"v": np.zeros((2, 2), dtype=np.complex128)}
+        eta, weights = {"v": 0.0}, {"l0": 1.0}
+        if kind in ("main", "rescue"):
+            rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
+            out = solve_metric(rep, eta, opts=SolveOptions(max_iters=300))
+            assert out.status is SolveStatus.CONVERGED
+            assert out.history[1].functional < out.history[0].functional
+        elif kind == "probe":
+            rep = loop_rep(np.diag(np.ones(1), 1))  # escaping: the probe moves
+            grad = _kempf_ness_gradient(rep, s, eta, weights)
+            value = _kempf_ness_value(rep, s, eta, weights)
+
+            def functional(point):
+                return _kempf_ness_value(rep, point, eta, weights)
+
+            assert solver._descent_probe(["v"], s, value, grad, functional)[1] < value
+        else:
+            rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
+            residual = king_residual(rep, {"v": np.eye(2)}, eta).sup
+            _, res, metric = solver._refine_by_residual(
+                rep, s, eta, weights, SolveOptions(), residual, None, None
+            )
+            assert res < residual and metric is not None
+        assert steps[0] is not None and len(trials) >= 2
+        assert trials[0] <= solver.STEP_CAP
+        assert trials[1] == pytest.approx(solver.BACKTRACK * trials[0], rel=1e-12)
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2])
     def test_one_hessian_per_iterate(self, monkeypatch, seed):
@@ -569,6 +624,27 @@ class TestValidationAtBoundary:
         assert out.status is SolveStatus.CONVERGED
         assert len(out.history) > 20
         assert len(calls) - one_iteration == one_iteration
+
+
+class TestEigendecompositionFailure:
+    """A LAPACK failure in an eigendecomposition is a NumericError."""
+
+    @pytest.fixture(autouse=True)
+    def failing_eigh(self, monkeypatch):
+        def failing(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+
+    def test_hermitian_log(self):
+        with pytest.raises(NumericError, match="eigendecomposition failed"):
+            hermitian_log(np.eye(2))
+
+    def test_extract_destabilizer(self):
+        rep = loop_rep([[0.0, 1.0], [0.0, 0.0]])
+        s = {"v": np.diag([-20.0, 20.0]).astype(complex)}
+        with pytest.raises(NumericError, match="eigendecomposition failed"):
+            extract_destabilizer(s, rep, {"v": 0.0})
 
 
 class TestExtractDestabilizer:
