@@ -15,14 +15,22 @@ embeds as a representation of a two-vertex quiver (two loops at vertex 1,
 exactly ``mu_R``; the vertex-2 residual is then automatic by the trace
 identity ``tr(mu_R + eta Id) = tr(b^dagger b) - tr(a a^dagger)``.
 
-The deformed system is solved by adaptive Barzilai-Borwein gradient descent
-with a nonmonotone (Grippo-Lampariello-Lucidi) backtracking line search on
-the merged least-squares objective ``|mu_C|_F^2 + |mu_R|_F^2`` from a seeded
-random start; positive ``eta`` forces ``b`` over ``a`` in the rank-1 case.
-The line search is :func:`momentmap.solver._backtrack`, the one
-backtracking loop that the King flow's step kinds share.
-The descent works on one packed vector: ``alpha, beta`` are one
-``(2, N, N)`` view of it, so each moment evaluation and each gradient takes
+The deformed system is solved from a seeded random start in two phases;
+positive ``eta`` forces ``b`` over ``a`` in the rank-1 case.  Adaptive
+Barzilai-Borwein gradient descent with a nonmonotone
+(Grippo-Lampariello-Lucidi) backtracking line search lowers the merged
+least-squares objective ``|mu_C|_F^2 + |mu_R|_F^2`` below
+``NEWTON_SWITCH eta^2``.  The line search is
+:func:`momentmap.solver._backtrack`, the one backtracking loop that the King
+flow's step kinds share.  Newton steps built from the moment-map structure
+then finish the solve: a minimal-norm Gauss-Newton step on the holomorphic
+equation ``mu_C = 0``, then a Newton step on ``mu_R = 0`` along the
+complexified gauge orbit, which preserves ``mu_C`` to first order (King,
+Quart. J. Math. 45 (1994); Nakajima, Lectures on Hilbert Schemes of Points
+on Surfaces, 1999).  Both ``N^2 x N^2`` normal matrices are sums of
+Kronecker products of ``N x N`` blocks, assembled in closed form.
+Both phases work on one packed vector: ``alpha, beta`` are one
+``(2, N, N)`` view of it, so each moment evaluation, gradient and step takes
 stacked products.
 Nondegeneracy of a solution is certified by :func:`stabilizer_dimension`,
 the real nullity of the linearized U(N)-action.
@@ -171,8 +179,9 @@ def adhm_residuals(d: ADHMData, eta: float) -> ADHMResiduals:
     mats = [d.alpha, d.beta, d.a, d.b]
     mu_c, mu_r = _moments(mats, [m.conj().T for m in mats], eta * np.eye(d.N))
 
+    sup_r = sup_norm(mu_r)
     herm_defect = sup_norm(mu_r - mu_r.conj().T)
-    if herm_defect > 1e-12 * max(1.0, sup_norm(mu_r)):
+    if herm_defect > 1e-12 * max(1.0, sup_r):
         raise ConsistencyError(
             f"real residual lost Hermiticity (defect {herm_defect:.3e})"
         )
@@ -188,7 +197,7 @@ def adhm_residuals(d: ADHMData, eta: float) -> ADHMResiduals:
         mu_c=mu_c,
         mu_r=mu_r,
         sup_c=sup_norm(mu_c),
-        sup_r=sup_norm(mu_r),
+        sup_r=sup_r,
         trace_defect=trace_defect,
     )
 
@@ -212,6 +221,20 @@ ABB_KAPPA = 0.5
 #: far above the rounding of either norm.
 _FROBENIUS_MARGIN = 1e-6
 
+#: Merged objective, in units of ``eta^2``, below which :func:`_descend`
+#: leaves the descent for Newton steps.  The unit makes the switch
+#: scale-free: ``x -> |eta|^(1/2) x`` maps the system at ``eta / |eta|`` to
+#: the one at ``eta`` and multiplies the objective by ``eta^2``.
+NEWTON_SWITCH = 0.1
+
+#: Newton steps in one phase of :func:`_descend` before it returns to the
+#: descent.
+NEWTON_STEPS = 5
+
+#: After a Newton phase that fails, the next one starts only once the
+#: descent has lowered the objective by this factor.
+NEWTON_RETRY = 1e-2
+
 
 def _fused_moments(x: np.ndarray, k: int, eta_id: np.ndarray):
     """Both moment maps at the packed vector ``x = [alpha, beta, a, b]``,
@@ -233,6 +256,30 @@ def _fused_moments(x: np.ndarray, k: int, eta_id: np.ndarray):
     return X, XH, a, b, mu_c, mu_r
 
 
+def _adjoint_c(XH, a, b, y) -> np.ndarray:
+    """Adjoint of the linearized complex moment map at ``y``, packed like
+    ``x``: ``J_C^dagger(y) = (y beta^dagger - beta^dagger y,
+    alpha^dagger y - y alpha^dagger, y b^dagger, a^dagger y)``.  The loop
+    blocks come from the stack ``W = [beta^dagger, alpha^dagger]`` as
+    ``[y, W]`` with the second block negated."""
+    n, k = a.shape
+    split = 2 * n * n
+    out = np.empty(split + 2 * n * k, dtype=complex)
+    G = out[:split].reshape(2, n, n)
+    W = XH[::-1]
+    np.subtract(y @ W, W @ y, out=G)
+    G[1] *= -1.0
+    out[split : split + n * k] = (y @ b.conj().T).ravel()
+    out[split + n * k :] = (a.conj().T @ y).ravel()
+    return out
+
+
+def _gauge(X, a, b, s) -> np.ndarray:
+    """Infinitesimal action ``s.x = ([s, alpha], [s, beta], s a, -b s)`` of
+    ``s`` in gl(N), packed like ``x``."""
+    return _pack([s @ X - X @ s, s @ a, -(b @ s)])
+
+
 def _fused_gradient(parts) -> np.ndarray:
     """Conjugate-coordinate gradient of the merged objective at the output
     ``parts`` of :func:`_fused_moments`, packed like ``x``.
@@ -240,24 +287,75 @@ def _fused_gradient(parts) -> np.ndarray:
     The first-order expansion is ``df = 2 Re sum tr(G_x^dagger dx)`` over the
     four matrix blocks, so ``-G`` is the steepest-descent direction:
 
-        G_alpha = [mu_c, beta^dagger] + 2 [alpha, mu_r]
-        G_beta  = [alpha^dagger, mu_c] + 2 [beta, mu_r]
-        G_a = mu_c b^dagger - 2 mu_r a,    G_b = a^dagger mu_c + 2 b mu_r.
+        G = J_C^dagger(mu_c) - 2 mu_r.x,
 
-    The loop blocks come from the stack ``W = [beta^dagger, alpha^dagger]``
-    as ``[mu_c, W]`` with the second block negated."""
+    that is ``G_alpha = [mu_c, beta^dagger] + 2 [alpha, mu_r]``,
+    ``G_beta = [alpha^dagger, mu_c] + 2 [beta, mu_r]``,
+    ``G_a = mu_c b^dagger - 2 mu_r a`` and ``G_b = a^dagger mu_c + 2 b mu_r``
+    (:func:`_adjoint_c`, :func:`_gauge`)."""
     X, XH, a, b, mu_c, mu_r = parts
-    n, k = a.shape
-    split = 2 * n * n
-    g = np.empty(split + 2 * n * k, dtype=complex)
-    G = g[:split].reshape(2, n, n)
-    W = XH[::-1]
-    np.subtract(mu_c @ W, W @ mu_c, out=G)
-    G[1] *= -1.0
-    G += 2.0 * (X @ mu_r - mu_r @ X)
-    g[split : split + n * k] = (mu_c @ b.conj().T - 2.0 * mu_r @ a).ravel()
-    g[split + n * k :] = (a.conj().T @ mu_c + 2.0 * b @ mu_r).ravel()
+    g = _adjoint_c(XH, a, b, mu_c)
+    g -= 2.0 * _gauge(X, a, b, mu_r)
     return g
+
+
+def _kron_sum(left, right) -> np.ndarray:
+    """``sum_i left[i] (x) right[i]`` over two stacks of ``n x n`` blocks, by
+    one matmul.  In row-major coordinates ``vec(A Y B) = (A (x) B^T) vec(Y)``,
+    so the operator ``Y -> sum_i A_i Y B_i`` takes ``right[i] = B_i^T``."""
+    m, n, _ = left.shape
+    prod = left.reshape(m, n * n).T @ right.reshape(m, n * n)
+    return prod.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def _complex_normal(X, XH, a, b) -> np.ndarray:
+    """Matrix of ``J_C J_C^dagger`` on gl(N):
+
+        y -> P y + y Q - sum_{m in alpha, beta} (m y m^dagger + m^dagger y m)
+
+    with ``P = alpha alpha^dagger + beta beta^dagger + a a^dagger`` and
+    ``Q = alpha^dagger alpha + beta^dagger beta + b^dagger b``."""
+    eye = np.eye(len(a))
+    P = (X @ XH).sum(axis=0) + a @ a.conj().T
+    Q = (XH @ X).sum(axis=0) + b.conj().T @ b
+    XT = X.transpose(0, 2, 1)
+    left = np.concatenate([[P, eye], -X, -XH])
+    right = np.concatenate([[eye, Q.T], X.conj(), XT])
+    return _kron_sum(left, right)
+
+
+def _real_normal(X, XH, a, b) -> np.ndarray:
+    """Matrix of ``L``, the real moment map linearized along the gauge
+    action, ``L(s) = d mu_R (s.x)``:
+
+        s -> sum_{m in alpha, beta} (2 m^dagger s m + 2 m s m^dagger) - {R, s}
+
+    with ``R = sum_m (m^dagger m + m m^dagger) + b^dagger b + a a^dagger``.
+    On Hermitian ``s``, ``Re tr(s L(s)) = -2 |s.x|^2``, so ``L`` is
+    invertible wherever the stabilizer is trivial, and it commutes with the
+    conjugate transpose."""
+    eye = np.eye(len(a))
+    R = (XH @ X + X @ XH).sum(axis=0) + b.conj().T @ b + a @ a.conj().T
+    XT = X.transpose(0, 2, 1)
+    left = np.concatenate([2.0 * XH, 2.0 * X, [-R, -eye]])
+    right = np.concatenate([XT, X.conj(), [eye, R.T]])
+    return _kron_sum(left, right)
+
+
+def _newton_step(x, parts, k: int, eta_id: np.ndarray) -> np.ndarray:
+    """One Newton step from the packed ``x`` with :func:`_fused_moments`
+    output ``parts``: the complex step ``x - J_C^dagger(y)`` with
+    ``J_C J_C^dagger y = mu_C``, then at that point the real step
+    ``x + s.x`` with ``L s = -mu_R``.  The solution ``s`` is solved for over
+    all of gl(N) and is Hermitian because ``L`` commutes with the conjugate
+    transpose.  Raises ``LinAlgError`` on a singular normal matrix."""
+    n = len(eta_id)
+    X, XH, a, b, mu_c, _ = parts
+    y = np.linalg.solve(_complex_normal(X, XH, a, b), mu_c.ravel())
+    x = x - _adjoint_c(XH, a, b, y.reshape(n, n))
+    X, XH, a, b, _, mu_r = _fused_moments(x, k, eta_id)
+    s = np.linalg.solve(_real_normal(X, XH, a, b), -mu_r.ravel())
+    return x + _gauge(X, a, b, s.reshape(n, n))
 
 
 def _solve_once(
@@ -296,9 +394,10 @@ def _solve_once(
 
 def _descend(x, k: int, eta_id: np.ndarray, opts: SolveOptions, track: bool):
     """Adaptive Barzilai-Borwein gradient descent with a nonmonotone
-    backtracking line search from the packed start ``x``.
+    backtracking line search from the packed start ``x``, finished by Newton
+    steps.
 
-    Each iteration tries the ABB step: with ``s = x - x_prev``,
+    Each descent iteration tries the ABB step: with ``s = x - x_prev``,
     ``y = g - g_prev`` and ``sy = Re<s, y> > 0``, the short step
     ``sy / |y|^2`` when it is below ``ABB_KAPPA`` times the long step
     ``|s|^2 / sy``, else the long step; ``1 / max(1, |g|)`` when
@@ -307,6 +406,15 @@ def _descend(x, k: int, eta_id: np.ndarray, opts: SolveOptions, track: bool):
     when its value is at most the largest of the last ``GLL_MEMORY``
     accepted values minus ``2 ARMIJO_C alpha |g|^2``, and ``alpha`` shrinks
     by ``BACKTRACK`` down to ``1e-18`` until it is.
+
+    Once the objective is below ``NEWTON_SWITCH eta^2``, iterations are Newton
+    steps (:func:`_newton_step`).  A step is kept when it lowers the
+    objective.  The phase ends at a singular normal matrix, a step not kept,
+    or ``NEWTON_STEPS`` steps without reaching ``tol``; the descent then
+    resumes from the current iterate with a fresh step history, and the
+    next phase waits until the objective is below ``NEWTON_RETRY`` times its
+    value there.  Every Newton step counts as one of ``opts.max_iters``
+    iterations.
 
     Returns ``(parts, best)``: the :func:`_fused_moments` output at the
     first iterate whose residual sup norms are both at most ``opts.tol``
@@ -328,6 +436,8 @@ def _descend(x, k: int, eta_id: np.ndarray, opts: SolveOptions, track: bool):
     recent = deque([value], maxlen=GLL_MEMORY)
     best = (sup_norm(parts[4]), sup_norm(parts[5])) if track else None
     x_prev = g_prev = None
+    switch = NEWTON_SWITCH * eta_id[0, 0] ** 2  # eta_id = eta Id
+    newton_steps = 0
 
     for _ in range(opts.max_iters):
         if track or may_pass:
@@ -336,6 +446,24 @@ def _descend(x, k: int, eta_id: np.ndarray, opts: SolveOptions, track: bool):
                 best = (sup_c, sup_r)
             if sup_c <= opts.tol and sup_r <= opts.tol:
                 return parts, best
+
+        if value < switch:
+            newton_steps += 1
+            try:
+                point = _newton_step(x, parts, k, eta_id)
+            except np.linalg.LinAlgError:
+                point = None
+            evaluated = None if point is None else evaluate(point)
+            kept = evaluated is not None and evaluated[0] < value
+            if kept:
+                x, (value, may_pass, parts) = point, evaluated
+            if not kept or newton_steps == NEWTON_STEPS:
+                switch = NEWTON_RETRY * value
+                newton_steps = 0
+                recent = deque([value], maxlen=GLL_MEMORY)
+                x_prev = g_prev = None
+                g = _fused_gradient(parts)
+            continue
 
         gnorm2 = float(np.vdot(g, g).real)
         if gnorm2 == 0.0:
@@ -374,12 +502,15 @@ def solve_adhm(
 ) -> ADHMData:
     """Solve the deformed system ``mu_C = 0, mu_R = 0`` with ``eta != 0``.
 
-    Minimizes the merged objective ``|mu_C|_F^2 + |mu_R|_F^2`` by adaptive
-    Barzilai-Borwein gradient descent with a nonmonotone backtracking line
-    search (see :func:`_descend`) from a seeded random start (restarting from
-    fresh draws if a run stalls) until both residual sup norms fall below
-    ``opts.tol``; the returned data is re-verified through
-    :func:`adhm_residuals`.
+    Minimizes the merged objective ``|mu_C|_F^2 + |mu_R|_F^2`` from a seeded
+    random start (restarting from fresh draws if a run stalls) until both
+    residual sup norms fall below ``opts.tol``: adaptive Barzilai-Borwein
+    gradient descent with a nonmonotone backtracking line search, then, from
+    an objective below ``NEWTON_SWITCH eta^2``, Newton steps that solve the
+    complex equation and, along the complexified gauge orbit, the real one
+    (see :func:`_descend`).  ``opts.max_iters`` bounds the descent
+    iterations and Newton steps of each start together.  The returned data
+    is re-verified through :func:`adhm_residuals`.
 
     Raises
     ------

@@ -470,7 +470,6 @@ def solve_metric(
 
     for iteration in range(1, opts.max_iters + 1):
         gnorm2 = _family_inner(grad, grad)
-        gsup = _family_sup(grad)
         if gnorm2 <= 0.0:
             # An exactly zero gradient marks a critical point, that is a
             # solution, and no probe can move from there; the re-evaluated
@@ -511,9 +510,9 @@ def solve_metric(
             dg = {v: grad[v] - prev_grad[v] for v in vertices}
             num = _family_inner(ds, dg)
             den = _family_inner(dg, dg)
-            alpha = num / den if (den > 0 and num > 0) else 1.0 / max(1.0, gsup)
+            alpha = num / den if (den > 0 and num > 0) else 1.0 / max(1.0, _family_sup(grad))
         else:
-            alpha = 1.0 / max(1.0, gsup)
+            alpha = 1.0 / max(1.0, _family_sup(grad))
 
         step = _line_search(functional, s, direction, alpha, value, deriv)
         accepted = step is not None
@@ -578,7 +577,6 @@ def solve_metric(
 
         prev_s, prev_grad = s, grad
         s, value = new_s, new_value
-        last_step_sup = _family_sup({v: s[v] - prev_s[v] for v in vertices})
         try:
             grad, metric = gradient_and_metric(s)
         except MomentMapError as exc:
@@ -589,12 +587,13 @@ def solve_metric(
         history.append(HistoryRecord(iteration, value, residual))
 
         # --- termination checks: escape first, then stationarity
-        if _family_sup(s) > DIVERGENCE_NORM:
+        s_sup = _family_sup(s)
+        if s_sup > DIVERGENCE_NORM:
             cert = extract_destabilizer(s, rep, eta)
             return finish(SolveStatus.DIVERGED, residual, metric, cert)
-        if residual <= opts.tol and last_step_sup <= STATIONARY_STEP * max(
-            1.0, _family_sup(s)
-        ):
+        if residual <= opts.tol and _family_sup(
+            {v: s[v] - prev_s[v] for v in vertices}
+        ) <= STATIONARY_STEP * max(1.0, s_sup):
             # A tiny step certifies stationarity only when it survived a
             # full-length descent probe; damped Newton and BB steps can be
             # tiny along escaping valleys too.  Otherwise schedule a probe.

@@ -21,11 +21,28 @@ from momentmap.quiver import Representation, validate_dims
 from momentmap.solver import ARMIJO_C, BACKTRACK, SolveOptions
 
 
+def count_calls(monkeypatch, *names):
+    """Dict counting the calls of the named ``adhm`` functions from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def wrapped(*args, name=name, function=getattr(adhm, name)):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(adhm, name, wrapped)
+    return calls
+
+
 def rand_data(N, k, rng, scale=1.0):
     def rand(shape):
         return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
     return ADHMData(N, k, rand((N, N)), rand((N, N)), rand((N, k)), rand((k, N)))
+
+
+def blocks(d: ADHMData):
+    return [d.alpha, d.beta, d.a, d.b]
 
 
 def embed_as_representation(d: ADHMData):
@@ -39,12 +56,15 @@ def embed_as_representation(d: ADHMData):
     return Representation(q, {"1": d.N, "2": 1}, mats)
 
 
-def reference_solve_adhm(N, k, eta, seed, opts):
-    """``solve_adhm`` on a list of blocks: conjugate transposes taken at every
-    use, both moment maps and the gradient rebuilt block by block from 2-D
-    products, the step differences packed twice per iteration, and the
-    nonmonotone reference value recomputed from the list of accepted values.
-    Returns the solution blocks, or the best residual pair of all starts."""
+def reference_solve_adhm(N, k, eta, seed, opts, switch=None):
+    """The descent phase of ``solve_adhm`` on a list of blocks: conjugate
+    transposes taken at every use, both moment maps and the gradient rebuilt
+    block by block from 2-D products, the step differences packed twice per
+    iteration, and the nonmonotone reference value recomputed from the list
+    of accepted values.  Returns the solution blocks, or with ``switch`` the
+    blocks at the first iterate whose objective is below it (where
+    ``solve_adhm`` takes its first Newton step), or the best residual pair
+    of all starts."""
 
     def frobenius2(m):
         return np.vdot(m, m).real
@@ -98,6 +118,8 @@ def reference_solve_adhm(N, k, eta, seed, opts):
             if max(sup_c, sup_r) < max(best):
                 best = (sup_c, sup_r)
             if sup_c <= opts.tol and sup_r <= opts.tol:
+                return mats, best
+            if switch is not None and value < switch:
                 return mats, best
             gnorm2 = float(frobenius2(pack(grads)))
             if gnorm2 == 0.0:
@@ -273,8 +295,8 @@ class TestSolveAdhm:
     def test_seed_determinism(self):
         s1 = solve_adhm(2, 1, 1.0, seed=42)
         s2 = solve_adhm(2, 1, 1.0, seed=42)
-        npt.assert_array_equal(s1.alpha, s2.alpha)
-        npt.assert_array_equal(s1.b, s2.b)
+        for name in ("alpha", "beta", "a", "b"):
+            assert getattr(s1, name).tobytes() == getattr(s2, name).tobytes()
 
     def test_only_the_solution_is_validated(self, monkeypatch):
         constructions = []
@@ -302,24 +324,19 @@ class TestSolveAdhm:
         assert len(calls) <= 60
 
     @pytest.mark.parametrize(
-        "N,k,seed,evaluations",
-        [(12, 4, 1617120057, 161), (6, 3, 1799343698, 126), (2, 1, 74845286, 51)],
+        "N,k,seed,evaluations,newton_steps",
+        [(12, 4, 1617120057, 29, 3), (6, 3, 1799343698, 24, 3), (2, 1, 74845286, 15, 4)],
     )
-    def test_nonmonotone_abb_search_accepts_most_first_trials(
-        self, monkeypatch, N, k, seed, evaluations
+    def test_moment_evaluations_and_newton_steps(
+        self, monkeypatch, N, k, seed, evaluations, newton_steps
     ):
-        # The monotone Armijo test with Barzilai-Borwein long steps made 362,
-        # 264 and 92 moment evaluations here.
-        calls = []
-        fused = adhm._fused_moments
-
-        def counted(*args):
-            calls.append(1)
-            return fused(*args)
-
-        monkeypatch.setattr(adhm, "_fused_moments", counted)
+        # Each Newton step evaluates the moments twice.  The monotone Armijo
+        # descent with Barzilai-Borwein long steps made 362, 264 and 92 moment
+        # evaluations here, and the nonmonotone adaptive one, run to tol
+        # without Newton steps, 161, 126 and 51.
+        calls = count_calls(monkeypatch, "_fused_moments", "_newton_step")
         solve_adhm(N, k, 1.0, seed=seed)
-        assert len(calls) == evaluations
+        assert calls == {"_fused_moments": evaluations, "_newton_step": newton_steps}
 
     def test_nonconvergence_carries_best_residuals(self):
         with pytest.raises(SolverError) as err:
@@ -369,22 +386,138 @@ class TestBitwiseParity:
         "N,k,seed",
         [(1, 1, 0), (2, 1, 74845286), (6, 3, 1799343698), (7, 2, 708093469), (12, 4, 1617120057)],
     )
-    def test_solution(self, N, k, seed):
-        want = reference_solve_adhm(N, k, 1.0, seed, SolveOptions())
-        got = solve_adhm(N, k, 1.0, seed=seed)
-        for name, block in zip(("alpha", "beta", "a", "b"), want):
-            assert getattr(got, name).tobytes() == block.tobytes()
+    def test_solution(self, monkeypatch, N, k, seed):
+        # The descent hands the reference's iterate to the first Newton step.
+        want = reference_solve_adhm(N, k, 1.0, seed, SolveOptions(), switch=adhm.NEWTON_SWITCH)
+        starts = []
+        newton_step = adhm._newton_step
 
-    @pytest.mark.parametrize("N,k,seed,iters", [(3, 2, 0, 2), (4, 2, 5, 30)])
-    def test_stalled_run_details(self, N, k, seed, iters):
+        def recorded(x, *args):
+            starts.append(x.tobytes())
+            return newton_step(x, *args)
+
+        monkeypatch.setattr(adhm, "_newton_step", recorded)
+        got = solve_adhm(N, k, 1.0, seed=seed)
+        assert starts[0] == adhm._pack(want).tobytes()
+        res = adhm_residuals(got, 1.0)
+        assert max(res.sup_c, res.sup_r) <= SolveOptions().tol
+
+    # Every start stalls before its objective reaches NEWTON_SWITCH; with
+    # 12 iterations the (4, 2, 5) solve takes Newton steps.
+    @pytest.mark.parametrize("N,k,seed,iters", [(3, 2, 0, 2), (4, 2, 5, 11)])
+    def test_stalled_run_details(self, monkeypatch, N, k, seed, iters):
         opts = SolveOptions(max_iters=iters)
         best_c, best_r = reference_solve_adhm(N, k, 1.0, seed, opts)
+        calls = count_calls(monkeypatch, "_newton_step")
         with pytest.raises(SolverError) as err:
             solve_adhm(N, k, 1.0, seed=seed, opts=opts)
+        assert calls["_newton_step"] == 0
         assert err.value.details == {"best_sup_c": best_c, "best_sup_r": best_r}
         assert np.array(list(err.value.details.values())).tobytes() == np.array(
             [best_c, best_r]
         ).tobytes()
+
+
+def d_mu_c(mats, d):
+    """Derivative of ``mu_C`` at the blocks ``mats`` along ``d``."""
+    al, be, a, b = mats
+    dal, dbe, da, db = d
+    return dal @ be + al @ dbe - dbe @ al - be @ dal + da @ b + a @ db
+
+
+def d_mu_r(mats, d):
+    """Derivative of ``mu_R`` at the blocks ``mats`` along ``d``."""
+    al, be, a, b = mats
+    dal, dbe, da, db = d
+    out = db.conj().T @ b + b.conj().T @ db - da @ a.conj().T - a @ da.conj().T
+    for m, dm in ((al, dal), (be, dbe)):
+        out = out + dm.conj().T @ m + m.conj().T @ dm - dm @ m.conj().T - m @ dm.conj().T
+    return out
+
+
+def adjoint_c(mats, y):
+    al, be, a, b = (m.conj().T for m in mats)
+    return [y @ be - be @ y, al @ y - y @ al, y @ b, a @ y]
+
+
+def gauge(mats, s):
+    al, be, a, b = mats
+    return [s @ al - al @ s, s @ be - be @ s, s @ a, -b @ s]
+
+
+class TestNewtonPhase:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("N", [1, 3, 5])
+    def test_normal_matrices_equal_the_compositions(self, N, k):
+        rng = np.random.default_rng(10 * N + k)
+        d = rand_data(N, k, rng)
+        mats = blocks(d)
+        X = np.stack(mats[:2])
+        XH = X.conj().transpose(0, 2, 1)
+        complex_normal = adhm._complex_normal(X, XH, d.a, d.b)
+        real_normal = adhm._real_normal(X, XH, d.a, d.b)
+        y = rand_data(N, 1, rng).alpha
+        step = blocks(rand_data(N, k, rng))
+        # adjoint_c is the adjoint of d_mu_c in the real inner product
+        lhs = np.vdot(y, d_mu_c(mats, step)).real
+        rhs = sum(np.vdot(u, v).real for u, v in zip(adjoint_c(mats, y), step))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+        npt.assert_allclose(
+            complex_normal @ y.ravel(), d_mu_c(mats, adjoint_c(mats, y)).ravel(), atol=1e-11
+        )
+        h = y + y.conj().T
+        npt.assert_allclose(
+            real_normal @ h.ravel(), d_mu_r(mats, gauge(mats, h)).ravel(), atol=1e-11
+        )
+        # L commutes with the conjugate transpose
+        npt.assert_allclose(
+            real_normal @ y.conj().T.ravel(),
+            (real_normal @ y.ravel()).reshape(N, N).conj().T.ravel(),
+            atol=1e-11,
+        )
+
+    def test_at_most_five_newton_steps_on_the_bench_grid(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_newton_step")
+        steps = []
+        for seed in (1, 11):
+            for N in range(1, 13):
+                for k in range(1, 5):
+                    calls["_newton_step"] = 0
+                    sol = solve_adhm(N, k, 1.0, seed=seed)
+                    res = adhm_residuals(sol, 1.0)
+                    assert max(res.sup_c, res.sup_r) <= SolveOptions().tol
+                    steps.append(calls["_newton_step"])
+        assert 1 <= min(steps) and max(steps) <= 5
+
+    def test_singular_normal_matrix_returns_to_the_descent(self, monkeypatch):
+        def singular(left, right):
+            return np.zeros((left.shape[1] ** 2,) * 2)
+
+        monkeypatch.setattr(adhm, "_kron_sum", singular)
+        with pytest.raises(np.linalg.LinAlgError):
+            adhm._newton_step(*newton_start(3, 2))
+        calls = count_calls(monkeypatch, "_newton_step")
+        sol = solve_adhm(3, 2, 1.0, seed=0)
+        res = adhm_residuals(sol, 1.0)
+        assert max(res.sup_c, res.sup_r) <= SolveOptions().tol
+        assert calls["_newton_step"] > 1
+        opts = SolveOptions(max_iters=40)
+        with pytest.raises(SolverError) as singular:
+            solve_adhm(3, 2, 1.0, seed=0, opts=opts)
+        # A rejected step leaves the run on the same iterates.
+        monkeypatch.setattr(adhm, "_newton_step", lambda x, *args: np.full_like(x, np.nan))
+        with pytest.raises(SolverError) as rejected:
+            solve_adhm(3, 2, 1.0, seed=0, opts=opts)
+        assert singular.value.details == rejected.value.details
+        assert max(singular.value.details.values()) < 1.0
+
+
+def newton_start(N, k):
+    """Arguments of ``adhm._newton_step`` at a random packed point."""
+    rng = np.random.default_rng(0)
+    x = adhm._pack(blocks(rand_data(N, k, rng)))
+    eta_id = np.eye(N)
+    return x, adhm._fused_moments(x, k, eta_id), k, eta_id
 
 
 def reference_action_matrix(d):

@@ -1,5 +1,6 @@
 """Tests for the Kempf-Ness metric solver and destabilizer extraction."""
 
+import hashlib
 import sys
 import tracemalloc
 
@@ -448,6 +449,50 @@ class TestNewtonEndgame:
         out = solve_metric(rep, zero_eta(rep), opts=SolveOptions(max_iters=300))
         assert out.status is SolveStatus.CONVERGED
         assert points and len(points) == len(set(points))
+
+
+def outcome_digest(out, vertices):
+    """SHA-256 of every byte of a solve outcome: status, history, final
+    residual, metric and certificate."""
+    h = hashlib.sha256()
+    h.update(out.status.value.encode())
+    h.update(np.array(out.history, dtype=float).tobytes())
+    h.update(np.float64(out.final_sup).tobytes())
+    for v in vertices:
+        if out.metric is not None:
+            h.update(out.metric[v].tobytes())
+        if out.certificate is not None:
+            h.update(out.certificate.basis[v].tobytes())
+    if out.certificate is not None:
+        cert = out.certificate
+        h.update(repr((cert.subdims, cert.slope, cert.invariance_defect)).encode())
+    return h.hexdigest()
+
+
+class TestSupNormsWhereRead:
+    # Before the sup norms of the gradient and the last step were taken only
+    # where they are read, these solves made 486 and 390 sup_norm calls; the
+    # digests are the outcomes of that code.
+    CASES = {
+        "cycle444": (258, "903833cbb6b17951760ab64dea293116fbf82f7f7f1b57a20bb8ba757b4ac5ac"),
+        "jordan5": (235, "5da54e669c84cf23ecc4b4bd2a0eec709df15750524d946ec27759e42724f8ea"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_outcome_unchanged_with_fewer_sup_norms(self, monkeypatch, case):
+        calls, digest = self.CASES[case]
+        rep = cycle_case()[0] if case == "cycle444" else loop_rep(np.diag(np.ones(4), 1))
+        counted = []
+        sup = solver.sup_norm
+
+        def counting(a):
+            counted.append(1)
+            return sup(a)
+
+        monkeypatch.setattr(solver, "sup_norm", counting)
+        out = solve_metric(rep, zero_eta(rep), opts=SolveOptions(max_iters=300))
+        assert outcome_digest(out, rep.quiver.vertices) == digest
+        assert len(counted) == calls
 
 
 class TestProgrammingErrorsSurface:
