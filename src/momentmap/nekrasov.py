@@ -18,14 +18,20 @@ exactly; on ideals the solver freezes the weights near the cap to those
 Bargmann values (the stand-in for the trace-class boundary condition at
 infinity) and runs Levenberg-Marquardt with Marquardt's damping rule in
 ``x = log c`` on the remaining sites.  The Jacobian has at most ``2 n + 1``
-entries per row, one per stencil slot, so it is kept in slot form and the
-normal equations are summed from it; only ``J^T J`` itself is dense.
+entries per row, one per stencil slot, so it is kept in slot form.  The
+residual at degree ``d`` reads only degrees ``d - 1``, ``d`` and ``d + 1``,
+so ``J^T J`` couples levels at most two apart: grouped in pairs of
+consecutive levels, the damped normal equations are symmetric positive
+definite and block-tridiagonal.  Their blocks are summed from the slots and
+solved by block elimination; nothing of size ``sites^2`` is formed.
 
 :func:`commutator_diagnostics` measures how far the truncated shifts are
 from the exact commutation relations ``[Z_i^dagger, Z_j] = hbar delta_ij``
 level by level, which quantifies the trace-class boundary behaviour.  The
-commutators preserve the degree, so they are assembled one level block at a
-time from the neighbor tables: memory is O(level^2), not O(size^2).
+commutators preserve the degree, and each level block of
+``[Z_i^dagger, Z_j] - hbar delta_ij`` has at most one entry per row and per
+column, so its operator norm is exactly the largest entry in absolute value:
+one entry per site is computed, and no matrix is formed.
 """
 
 from __future__ import annotations
@@ -105,6 +111,9 @@ class FockTruncation:
         ``(n, len(basis))`` integer tables: ``up[i, p]`` is the basis index
         of ``mu + e_i`` (``-1`` past the cap) and ``down[i, p]`` of
         ``mu - e_i`` (``-1`` when it leaves the module).
+    degree : ndarray
+        Read-only total degree of each basis monomial, computed on
+        construction; non-decreasing, since the basis is graded.
     """
 
     n: int
@@ -126,6 +135,11 @@ class FockTruncation:
         object.__setattr__(
             self, "_lookup", {m: p for p, m in enumerate(self.basis)}
         )
+        degree = np.array([sum(m) for m in self.basis], dtype=np.int64)
+        if np.any(np.diff(degree) < 0):
+            raise ValidationError("basis is not in graded order")
+        degree.flags.writeable = False
+        object.__setattr__(self, "degree", degree)
 
     def contains(self, m) -> bool:
         """Module membership (ignoring the degree cap)."""
@@ -133,7 +147,7 @@ class FockTruncation:
 
     def levels(self) -> Tuple[int, ...]:
         """Sorted distinct total degrees present in the basis."""
-        return tuple(sorted({sum(m) for m in self.basis}))
+        return tuple(np.unique(self.degree).tolist())
 
 
 def build_truncation(
@@ -310,24 +324,74 @@ def _residual_kernel(values, sites, up, down, hbar, m, columns=None):
     return total, jac
 
 
-def _normal_equations(jac, r):
-    """``J^T J`` and ``-J^T r`` for the stencil-slot Jacobian ``jac`` of
-    :func:`_residual_kernel`.
+def _pair_bounds(degree):
+    """Block bounds of the free sites, whose sorted degrees are ``degree``:
+    block ``k`` holds the sites of the two levels ``degree[0] + 2 k`` and
+    ``degree[0] + 2 k + 1``, at positions ``bounds[k]:bounds[k + 1]``."""
+    first = degree[0]
+    return np.searchsorted(degree, first + 2 * np.arange((degree[-1] - first) // 2 + 2))
 
-    Each row of ``J`` has at most ``2 n + 1`` entries, in distinct columns,
-    so a cell of ``J^T J`` receives at most one product per row;
-    ``np.bincount`` adds the products in ascending row order, starting from
-    zero.
+
+def _normal_equations(jac, r, bounds):
+    """Blocks of ``J^T J`` and ``-J^T r`` for the stencil-slot Jacobian
+    ``jac`` of :func:`_residual_kernel`, with the columns grouped into the
+    level-pair blocks of :func:`_pair_bounds`.
+
+    Returns ``(diagonal, upper), rhs``: ``diagonal[k]`` is the block of
+    ``J^T J`` on block ``k``, and ``upper[k]`` the one coupling block ``k``
+    (rows) to block ``k + 1`` (columns).  No other block is nonzero, and the
+    blocks below the diagonal are the transposes of ``upper``.  Each row of
+    ``J`` has at most ``2 n + 1`` entries, in distinct columns, so a cell
+    receives at most one product per row; ``np.bincount`` adds the products
+    in ascending row order, starting from zero, as the dense sum over the
+    rows would.
     """
     cols, vals = jac
-    size = len(cols)
     hit = cols >= 0
-    pairs = hit[:, :, None] & hit[:, None, :]
-    cells = (cols[:, :, None] * size + cols[:, None, :])[pairs]
-    products = (vals[:, :, None] * vals[:, None, :])[pairs]
-    normal = np.bincount(cells, products, minlength=size * size).reshape(size, size)
-    rhs = -np.bincount(cols[hit], (vals * r[:, None])[hit], minlength=size)
-    return normal, rhs
+    sizes = np.diff(bounds)
+    # block and position in it of each slot's column (garbage where ~hit)
+    block = np.repeat(np.arange(len(sizes)), sizes)[cols]
+    local = cols - bounds[block]
+    step = block[:, None, :] - block[:, :, None]
+    pairs = hit[:, :, None] & hit[:, None, :] & (step >= 0) & (step <= 1)
+    rows, sa, sb = np.nonzero(pairs)
+    ka, step = block[rows, sa], step[rows, sa, sb]
+    # one flat buffer: the diagonal blocks, then the upper ones
+    shapes = [(s, s) for s in sizes] + list(zip(sizes[:-1], sizes[1:]))
+    offsets = np.cumsum([0] + [p * q for p, q in shapes])
+    cells = (
+        offsets[ka + len(sizes) * step]
+        + local[rows, sa] * sizes[ka + step]
+        + local[rows, sb]
+    )
+    flat = np.bincount(cells, vals[rows, sa] * vals[rows, sb], minlength=offsets[-1])
+    blocks = [flat[o : o + p * q].reshape(p, q) for o, (p, q) in zip(offsets, shapes)]
+    rhs = -np.bincount(cols[hit], (vals * r[:, None])[hit], minlength=len(cols))
+    return (blocks[: len(sizes)], blocks[len(sizes) :]), rhs
+
+
+def _block_solve(diagonal, upper, rhs, bounds):
+    """Solve the symmetric block-tridiagonal system of :func:`_normal_equations`
+    by block elimination.
+
+    Each Schur complement ``S_k = A_k - B_{k-1}^T S_{k-1}^{-1} B_{k-1}`` is
+    factored once by ``np.linalg.solve`` on ``[B_k | y_k]``, so a singular
+    complement raises ``np.linalg.LinAlgError``.
+    """
+    pieces = np.split(rhs, bounds[1:-1])
+    schur, y = diagonal[0], pieces[0]
+    eliminated = []
+    for coupling, block, piece in zip(upper, diagonal[1:], pieces[1:]):
+        w = np.linalg.solve(schur, np.column_stack((coupling, y)))
+        eliminated.append(w)
+        schur = block - coupling.T @ w[:, :-1]
+        y = piece - coupling.T @ w[:, -1]
+    x = np.linalg.solve(schur, y)
+    solution = [x]
+    for w in reversed(eliminated):
+        x = w[:, -1] - w[:, :-1] @ x
+        solution.append(x)
+    return np.concatenate(solution[::-1])
 
 
 def _check_metric(t, c) -> None:
@@ -355,9 +419,7 @@ def nekrasov_residual(
     _check_metric(t, c)
     hbar = check_real("hbar", hbar)
     m = check_int("m", m, 1)
-    interior = np.array(
-        [p for p, mono in enumerate(t.basis) if sum(mono) < t.D], dtype=np.int64
-    )
+    interior = np.flatnonzero(t.degree < t.D)
     vec, _ = _residual_kernel(c.values, interior, *_stencil(t, interior), hbar, m)
     bad = ~np.isfinite(vec)
     if bad.any():
@@ -400,9 +462,11 @@ def solve_nekrasov(
     frozen to Bargmann values, realizing the boundary condition; the
     logarithms of the remaining weights are the unknowns.  Each iteration
     solves the damped normal equations ``(J^T J + lam I) delta = -J^T r``
-    and accepts the step when it lowers ``|r|_2``; ``J^T J`` and ``-J^T r``
-    are summed from the stencil slots (:func:`_normal_equations`) and the
-    damping is written onto the diagonal of ``J^T J``.  The damping follows
+    and accepts the step when it lowers ``|r|_2``.  ``J^T J`` is
+    block-tridiagonal over pairs of consecutive levels; its blocks and
+    ``-J^T r`` are summed from the stencil slots (:func:`_normal_equations`),
+    the damping is written onto the diagonal blocks, and the system is solved
+    by block elimination (:func:`_block_solve`).  The damping follows
     Marquardt's rule: it starts at ``lam = max(1e-12, 1e-3 max diag(J^T J))``,
     is carried across iterations, is divided by 10 (floor ``1e-12``) after an
     accepted step and multiplied by 10 after a rejected trial, with at most
@@ -439,10 +503,7 @@ def solve_nekrasov(
     if opts is None:
         opts = SolveOptions()
 
-    free = np.array(
-        [p for p, mono in enumerate(t.basis) if sum(mono) <= t.D - buffer - 1],
-        dtype=np.int64,
-    )
+    free = np.flatnonzero(t.degree <= t.D - buffer - 1)
     if not free.size:
         raise ValidationError(
             f"no free sites: cap D={t.D} with buffer {buffer} freezes everything"
@@ -450,7 +511,7 @@ def solve_nekrasov(
     up, down = _stencil(t, free)
     columns = np.full(len(t.basis), -1, dtype=np.int64)
     columns[free] = np.arange(len(free))
-    diagonal = np.arange(len(free))
+    bounds = _pair_bounds(t.degree[free])
 
     boundary = fock_weights(t, hbar).values
     x = np.log(boundary)
@@ -480,16 +541,18 @@ def solve_nekrasov(
             )
             return metric
         norm = float(np.linalg.norm(r))
-        normal, rhs = _normal_equations(jac, r)
-        undamped = normal[diagonal, diagonal]
+        (diagonal, upper), rhs = _normal_equations(jac, r, bounds)
+        undamped = [np.diagonal(block).copy() for block in diagonal]
         if lam is None:
-            lam = max(LM_LAMBDA_FLOOR, LM_LAMBDA_START * float(np.max(undamped)))
+            top = max(float(np.max(d)) for d in undamped)
+            lam = max(LM_LAMBDA_FLOOR, LM_LAMBDA_START * top)
         stepped = False
         for _ in range(LM_TRIES):
             # the damped diagonal, in place: off the diagonal lam I adds zeros
-            normal[diagonal, diagonal] = undamped + lam
+            for block, d in zip(diagonal, undamped):
+                np.fill_diagonal(block, d + lam)
             try:
-                delta = np.linalg.solve(normal, rhs)
+                delta = _block_solve(diagonal, upper, rhs, bounds)
             except np.linalg.LinAlgError:
                 lam *= LM_FACTOR
                 continue
@@ -566,19 +629,15 @@ def commutator_diagnostics(
     weights[shifted] = np.sqrt(ratios)
 
     levels = t.levels()
-    degree = np.array([sum(mono) for mono in t.basis])
-    level_sites = [np.flatnonzero(degree == lev) for lev in levels]
-    local = np.empty(len(t.basis), dtype=np.int64)
-    for block_sites in level_sites:
-        local[block_sites] = np.arange(len(block_sites))
-
+    level_of = np.searchsorted(levels, t.degree)
     per_pair = {}
     for i in range(t.n):
         for j in range(t.n):
-            per_pair[(i + 1, j + 1)] = tuple(
-                _level_sup(t, weights, block_sites, local, i, j, hbar)
-                for block_sites in level_sites
-            )
+            sups = np.zeros(len(levels))
+            # np.maximum propagates NaN, so a NaN entry is not hidden
+            with np.errstate(invalid="ignore"):
+                np.maximum.at(sups, level_of, np.abs(_site_deviation(t, weights, i, j, hbar)))
+            per_pair[(i + 1, j + 1)] = tuple(sups.tolist())
     max_per_level = np.max(list(per_pair.values()), axis=0)
     return CommutatorReport(
         levels=levels,
@@ -587,31 +646,26 @@ def commutator_diagnostics(
     )
 
 
-def _level_sup(t, weights, sites, local, i, j, hbar) -> float:
-    """Sup norm of ``[Z_i^dagger, Z_j] - hbar delta_ij Id`` on one level.
+def _site_deviation(t, weights, i, j, hbar) -> np.ndarray:
+    """Entry of ``[Z_i^dagger, Z_j] - hbar delta_ij Id`` in the column of
+    each site, the only entry of that column.
 
-    Both products preserve the degree, and each of their columns ``p`` has at
-    most one entry: ``Z_i^dagger Z_j`` at row ``down_i(up_j(p))`` and
-    ``Z_j Z_i^dagger`` at row ``up_j(down_i(p))``.  Filling those entries
-    gives the level block of the dense products exactly.
+    ``Z_i^dagger Z_j`` maps site ``p`` to ``down_i(up_j(p))`` and
+    ``Z_j Z_i^dagger`` to ``up_j(down_i(p))``; when both exist they are the
+    same site ``p + e_j - e_i``.  So every column, and likewise every row,
+    of the commutator holds at most one entry, and the operator norm of a
+    level block is the largest entry in absolute value.
     """
-    size = len(sites)
-    cols = np.arange(size)
-    forward = np.zeros((size, size))
-    raised = t.up[j, sites]
+    raised = t.up[j]
     rows = np.where(raised >= 0, t.down[i, raised], -1)
-    hit = rows >= 0
-    forward[local[rows[hit]], cols[hit]] = weights[i, rows[hit]] * weights[j, sites[hit]]
-    backward = np.zeros((size, size))
-    lowered = t.down[i, sites]
+    forward = np.where(rows >= 0, weights[i, rows] * weights[j], 0.0)
+    lowered = t.down[i]
     rows = np.where(lowered >= 0, t.up[j, lowered], -1)
-    hit = rows >= 0
-    via = lowered[hit]
-    backward[local[rows[hit]], cols[hit]] = weights[j, via] * weights[i, via]
-    block = forward - backward
+    backward = np.where(rows >= 0, weights[j, lowered] * weights[i, lowered], 0.0)
+    deviation = forward - backward
     if i == j:
-        block = block - hbar * np.eye(size)
-    return float(np.linalg.norm(block, 2))
+        deviation = deviation - hbar
+    return deviation
 
 
 def truncation_from_json(text: str):

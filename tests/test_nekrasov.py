@@ -24,8 +24,10 @@ from momentmap.solver import SolveOptions
 
 
 def reference_commutator_sups(t, c, hbar):
-    """Per-pair, per-level sups from dense ``size x size`` shift matrices and
-    their dense products."""
+    """Per-pair, per-level maxima of the entries' absolute values and
+    operator norms of the level blocks of the dense ``size x size`` products,
+    after checking that each block has at most one nonzero per row and per
+    column."""
     size = len(t.basis)
     shifts = []
     for i in range(t.n):
@@ -38,16 +40,19 @@ def reference_commutator_sups(t, c, hbar):
     level_sites = [
         [p for p, mono in enumerate(t.basis) if sum(mono) == lev] for lev in t.levels()
     ]
-    per_pair = {}
+    maxima, norms = {}, {}
     for i in range(t.n):
         for j in range(t.n):
             m = shifts[i].T @ shifts[j] - shifts[j] @ shifts[i].T
             if i == j:
                 m = m - hbar * np.eye(size)
-            per_pair[(i + 1, j + 1)] = tuple(
-                float(np.linalg.norm(m[np.ix_(sites, sites)], 2)) for sites in level_sites
-            )
-    return per_pair
+            blocks = [m[np.ix_(sites, sites)] for sites in level_sites]
+            for block in blocks:
+                assert np.all(np.count_nonzero(block, axis=0) <= 1)
+                assert np.all(np.count_nonzero(block, axis=1) <= 1)
+            maxima[(i + 1, j + 1)] = tuple(float(np.max(np.abs(b))) for b in blocks)
+            norms[(i + 1, j + 1)] = tuple(float(np.linalg.norm(b, 2)) for b in blocks)
+    return maxima, norms
 
 
 def reference_residual_and_jacobian(t, values, free, hbar, m):
@@ -98,6 +103,18 @@ def reference_normal_equations(jac, r):
             for b in nonzero:
                 normal[a, b] += jac[q, a] * jac[q, b]
     return normal, -rhs
+
+
+def dense_blocks(normal, bounds):
+    """Diagonal, upper and lower blocks of a dense matrix over the level-pair
+    bounds, and the mask of cells outside the block-tridiagonal band."""
+    parts = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    diagonal = [normal[p, p] for p in parts]
+    upper = [normal[p, q] for p, q in zip(parts, parts[1:])]
+    lower = [normal[q, p] for p, q in zip(parts, parts[1:])]
+    block = np.repeat(np.arange(len(parts)), np.diff(bounds))
+    outside = np.abs(block[:, None] - block[None, :]) > 1
+    return diagonal, upper, lower, outside
 
 
 def reference_solve(t, hbar, m, opts=SolveOptions(), buffer=2):
@@ -224,6 +241,13 @@ class TestBuildTruncation:
     def test_levels(self):
         t = build_truncation(1, [(2,)], 4)
         assert t.levels() == (2, 3, 4)
+        assert t.degree.tolist() == [2, 3, 4]
+        assert not t.degree.flags.writeable
+
+    def test_basis_out_of_graded_order_rejected(self):
+        t = build_truncation(1, "full", 1)
+        with pytest.raises(ValidationError, match="graded order"):
+            nekrasov.FockTruncation(1, None, 1, t.basis[::-1], t.up, t.down)
 
     def test_cap_below_generator_degree_rejected(self):
         with pytest.raises(ValidationError, match="generator degree"):
@@ -586,10 +610,12 @@ class TestBitwiseParity:
         metrics = [fock_weights(t, hbar), solve_nekrasov(t, hbar, n)]
         for c in metrics:
             rep = commutator_diagnostics(t, c, hbar)
-            want = reference_commutator_sups(t, c, hbar)
+            want, norms = reference_commutator_sups(t, c, hbar)
             assert list(rep.per_pair) == list(want)
             for pair, sups in want.items():
                 assert np.array(rep.per_pair[pair]).tobytes() == np.array(sups).tobytes()
+                got, svd = np.array(rep.per_pair[pair]), np.array(norms[pair])
+                assert np.all(np.abs(got - svd) <= 1e-15 * svd)
             top = np.max(np.array(list(want.values())), axis=0)
             assert np.array(rep.max_per_level).tobytes() == top.tobytes()
 
@@ -610,10 +636,6 @@ class TestBitwiseParity:
             r, jac = nekrasov._residual_kernel(values, free, *stencil, hbar, m, columns)
             assert r.tobytes() == want_r.tobytes()
             assert dense_jacobian(jac).tobytes() == want_jac.tobytes()
-            normal, rhs = nekrasov._normal_equations(jac, r)
-            want_normal, want_rhs = reference_normal_equations(want_jac, want_r)
-            assert normal.tobytes() == want_normal.tobytes()
-            assert rhs.tobytes() == want_rhs.tobytes()
             res = nekrasov_residual(t, DiagonalMetric(t, values), hbar, m)
             interior = [p for p, mono in enumerate(t.basis) if sum(mono) < D]
             want_res, _ = reference_residual_and_jacobian(t, values, interior, hbar, m)
@@ -621,12 +643,59 @@ class TestBitwiseParity:
             assert np.array(list(res.values())).tobytes() == want_res.tobytes()
 
     @pytest.mark.parametrize("n,module,D", PARITY_CASES)
+    def test_normal_equations_by_level_blocks(self, n, module, D):
+        t = build_truncation(n, module, D)
+        hbar, m = 0.8, n + 1
+        free = np.flatnonzero(t.degree <= D - 3)
+        bounds = nekrasov._pair_bounds(t.degree[free])
+        degree = [sum(t.basis[p]) for p in free]
+        starts = [
+            q
+            for q in range(len(free))
+            if (q == 0 or degree[q - 1] != degree[q]) and (degree[q] - degree[0]) % 2 == 0
+        ]
+        assert bounds.tolist() == starts + [len(free)]
+        columns = np.full(len(t.basis), -1)
+        columns[free] = np.arange(len(free))
+        stencil = nekrasov._stencil(t, free)
+        rng = np.random.default_rng(D)
+        for values in (
+            fock_weights(t, hbar).values,
+            np.exp(rng.standard_normal(len(t.basis))),
+        ):
+            r, jac = nekrasov._residual_kernel(values, free, *stencil, hbar, m, columns)
+            want_r, want_jac = reference_residual_and_jacobian(t, values, free, hbar, m)
+            want_normal, want_rhs = reference_normal_equations(want_jac, want_r)
+            want_diag, want_upper, want_lower, outside = dense_blocks(want_normal, bounds)
+            assert not np.any(want_normal[outside])
+            (diagonal, upper), rhs = nekrasov._normal_equations(jac, r, bounds)
+            assert rhs.tobytes() == want_rhs.tobytes()
+            assert [b.tobytes() for b in diagonal] == [b.tobytes() for b in want_diag]
+            assert [b.tobytes() for b in upper] == [b.tobytes() for b in want_upper]
+            assert [b.T.tobytes() for b in upper] == [b.tobytes() for b in want_lower]
+
+            lam = nekrasov.LM_LAMBDA_START * np.max(np.diag(want_normal))
+            want = np.linalg.solve(want_normal + lam * np.eye(len(free)), want_rhs)
+            for block in diagonal:
+                block += lam * np.eye(len(block))
+            got = nekrasov._block_solve(diagonal, upper, rhs, bounds)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_singular_schur_complement_raises(self):
+        bounds = np.array([0, 2, 3])
+        diagonal = [np.eye(2), np.ones((1, 1))]
+        upper = [np.array([[1.0], [0.0]])]
+        with pytest.raises(np.linalg.LinAlgError):
+            nekrasov._block_solve(diagonal, upper, np.ones(3), bounds)
+
+    @pytest.mark.parametrize("n,module,D", PARITY_CASES)
     def test_solution(self, n, module, D):
+        # Block elimination rounds differently from the dense solve.
         t = build_truncation(n, module, D)
         want = np.exp(reference_solve(t, 0.8, n))
         got = solve_nekrasov(t, 0.8, n).values
         free = [p for p, mono in enumerate(t.basis) if sum(mono) <= D - 3]
-        assert got[free].tobytes() == want[free].tobytes()
+        assert np.all(np.abs(got[free] - want[free]) <= 1e-12 * want[free])
 
     def test_jacobian_matches_central_differences(self):
         t = build_truncation(2, [(1, 1)], 9)
@@ -664,6 +733,17 @@ class TestCommutatorMemoryAndOverflow:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    def test_solve_memory_grows_with_the_level_pairs_not_the_sites(self):
+        # 1,710 free sites; the dense J^T J alone takes 22.3 MB.
+        t = build_truncation(2, [(1, 0), (0, 1)], 60)
+        tracemalloc.start()
+        try:
+            solve_nekrasov(t, 1.0, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * 2**20
+
     @pytest.mark.parametrize("n,D", [(1, 3), (2, 2)])
     def test_overflowing_shift_weight_raises(self, n, D):
         t = build_truncation(n, "full", D)
@@ -673,13 +753,13 @@ class TestCommutatorMemoryAndOverflow:
             commutator_diagnostics(t, DiagonalMetric(t, values), 1.0)
 
     def test_nan_sup_is_not_hidden_by_the_maximum(self, monkeypatch):
-        original = nekrasov._level_sup
+        original = nekrasov._site_deviation
 
-        def nan_on_last_pair(t, weights, sites, local, i, j, hbar):
-            sup = original(t, weights, sites, local, i, j, hbar)
-            return float("nan") if (i, j) == (1, 1) else sup
+        def nan_on_last_pair(t, weights, i, j, hbar):
+            deviation = original(t, weights, i, j, hbar)
+            return np.full_like(deviation, np.nan) if (i, j) == (1, 1) else deviation
 
-        monkeypatch.setattr(nekrasov, "_level_sup", nan_on_last_pair)
+        monkeypatch.setattr(nekrasov, "_site_deviation", nan_on_last_pair)
         t = build_truncation(2, "full", 3)
         rep = commutator_diagnostics(t, fock_weights(t, 1.0), 1.0)
         assert all(np.isnan(v) for v in rep.max_per_level)
