@@ -33,7 +33,12 @@ Both phases work on one packed vector: ``alpha, beta`` are one
 ``(2, N, N)`` view of it, so each moment evaluation, gradient and step takes
 stacked products.
 Nondegeneracy of a solution is certified by :func:`stabilizer_dimension`,
-the real nullity of the linearized U(N)-action.
+the real nullity of the linearized U(N)-action.  Minus the matrix of the
+Newton real step has the eigenvalues ``2 sigma^2``, ``sigma`` the singular
+values of that action, so a Cholesky factorization of it, shifted by a
+rounding bound, proves the nullity 0 without an SVD; the SVD runs only when the
+factorization fails (Higham, *Accuracy and Stability of Numerical
+Algorithms*, Thm 10.3).
 """
 
 from __future__ import annotations
@@ -556,16 +561,82 @@ def stabilizer_dimension(d: ADHMData) -> int:
 
     The linearized action sends an anti-Hermitian ``u`` to
     ``([u, alpha], [u, beta], u a, -b u)``; the stabilizer dimension is the
-    real nullity of this map (singular values below ``1e-9`` of the largest).
-    Zero certifies a free U(N)-action at the data.
+    real nullity of this map, counted as its singular values below ``1e-9``
+    of the largest (:func:`_svd_stabilizer_dimension`).  Zero certifies a
+    free U(N)-action at the data.  The SVD runs only when the Cholesky
+    certificate :func:`_certified_free` fails; when it succeeds, the count
+    is 0 without it.
     """
     if not isinstance(d, ADHMData):
         raise ValidationError(f"expected ADHMData, got {type(d).__name__}")
+    if _certified_free(d):
+        return 0
+    return _svd_stabilizer_dimension(d)
+
+
+def _svd_stabilizer_dimension(d: ADHMData) -> int:
+    """Singular values of :func:`_action_matrix` below ``1e-9`` of the
+    largest; ``N^2`` for an all-zero matrix."""
     m = _action_matrix(d)
     if not np.any(m):
         return d.N * d.N
     sigma = np.linalg.svd(m, compute_uv=False)
     return int(np.sum(sigma < 1e-9 * sigma[0]))
+
+
+def _certified_free(d: ADHMData) -> bool:
+    """Whether a Cholesky factorization proves that the SVD count of
+    :func:`_svd_stabilizer_dimension` is 0.
+
+    Let ``A`` be :func:`_action_matrix`, whose columns are the images of an
+    orthonormal basis ``i h_j`` of u(N), and ``sigma`` its singular values.
+    On Hermitian ``h``, ``|h.x| = |(i h).x|`` since the action is complex
+    linear, and ``Re tr(h L(h)) = -2 |h.x|^2`` (:func:`_real_normal`), so on
+    the real span of the ``h_j`` the operator ``G = -L`` is ``2 A^T A``.
+    ``L`` commutes with the conjugate transpose, so on gl(N), the
+    complexification of that span, ``G`` is Hermitian with the ``n = N^2``
+    eigenvalues ``2 sigma^2``.  The chain, with ``u`` the unit roundoff:
+
+    1. ``G`` is assembled by :func:`_kron_sum` from Kronecker factors whose
+       Frobenius norms, products summed, are at most
+       ``S = 4 (1 + sqrt(N)) |x|_F^2`` for the data
+       ``x = (alpha, beta, a, b)``, and ``lambda_max(G) <= |G|_2 <= S``.
+       Each entry is a sum of such products rounded through fewer than
+       ``N + k + 16`` operations, so the computed Hermitian part ``G^`` has
+       ``|G^ - G|_2 <= 2 (N + k + 16) u S`` (the 2 absorbs complex
+       arithmetic), and ``|G^|_2 <= 1.01 S``.
+    2. If Cholesky of ``G^ - tau I`` runs to completion, its backward error
+       (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+       Thm 10.3 and the norm bound after it, doubled for complex arithmetic)
+       makes ``G^ - tau I + E`` positive definite with
+       ``|E|_2 <= 2 n (n + 1) u |G^ - tau I|_2``.
+    3. With ``tau = 4 (n (n + 1) + N + k + 16) u S``, steps 1 and 2 and
+       Weyl's inequality give ``lambda_min(G) > tau - |E|_2 - |G^ - G|_2 >
+       0.49 tau``, so ``sigma_min^2 / sigma_max^2 > 0.49 tau / S`` and
+       ``sigma_min / sigma_max > 6e-8``.
+    4. The SVD of the computed action matrix moves each singular value by
+       at most ``p u sigma_max`` for a modest ``p``, far below ``5e-8``, so
+       every computed singular value stays above ``1e-9`` of the largest:
+       the SVD count is 0.
+
+    On data with a nontrivial stabilizer ``G`` is singular, Cholesky fails
+    and the SVD decides.  ``S`` bounds the Kronecker factors, not ``|L|``,
+    because the assembly cancels: a scalar part of ``alpha`` drops out of
+    ``L`` exactly while its rounding does not.
+    """
+    N, k = d.N, d.k
+    n = N * N
+    X = np.stack([d.alpha, d.beta])
+    L = _real_normal(X, X.conj().transpose(0, 2, 1), d.a, d.b)
+    scale = 4.0 * (1.0 + N**0.5) * sum(
+        np.vdot(m, m).real for m in (d.alpha, d.beta, d.a, d.b)
+    )
+    tau = 4.0 * (n * (n + 1) + N + k + 16) * (np.finfo(float).eps / 2) * scale
+    try:
+        np.linalg.cholesky(-0.5 * (L + L.conj().T) - tau * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _action_matrix(d: ADHMData) -> np.ndarray:

@@ -15,8 +15,9 @@ Subcommands
     problem's quiver.  Exit 0 iff the maximum deviation is below 1e-10.
 ``adhm solve --N --k --eta``
     Solve the deformed ADHM equations.  Exit 0 iff both residuals pass the
-    tolerance and the stabilizer is trivial; ``--mirror`` flips the sign
-    convention of eta.
+    tolerance and the stabilizer is trivial, 2 when a solution fails them,
+    3 when no start converges within the iteration budget; ``--mirror``
+    flips the sign convention of eta.
 ``nekrasov solve <problem.json>``
     Solve a truncated metric equation on a monomial module.  Exit 0 iff the
     residual over the solved (non-frozen) sites is within tolerance.
@@ -301,8 +302,8 @@ def _cmd_nekrasov_solve(args):
 
     result = {
         "weights": [
-            {"monomial": list(mono), "c": metric.weight(mono)}
-            for mono in truncation.basis
+            {"monomial": list(mono), "c": c}
+            for mono, c in zip(truncation.basis, metric.values.tolist())
         ],
         "residual_profile": residual_profile(residuals),
         "commutator_profile": [
@@ -402,7 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="flip the sign convention of eta",
     )
-    p.set_defaults(handler=_cmd_adhm_solve)
+    # no start converged within --max-iters: the exhausted-budget code of king solve
+    p.set_defaults(handler=_cmd_adhm_solve, solver_failure_code=3)
 
     nek = groups.add_parser("nekrasov", help="truncated metric equations on modules")
     nek_sub = nek.add_subparsers(dest="command", required=True)
@@ -453,7 +455,7 @@ def main(argv=None) -> int:
         return 1
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
+        return getattr(args, "solver_failure_code", 2)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,5 @@
 """Finite truncations of the quantized Hermitian-metric equation on
-monomial modules, with a Levenberg-Marquardt solver and commutator
-diagnostics.
+monomial modules, with a Newton solver and commutator diagnostics.
 
 A truncation enumerates the monomials of a module (the full polynomial ring
 or a monomial ideal) up to total degree ``D`` in graded-lexicographic order
@@ -16,14 +15,14 @@ sites on the top level ``|mu| = D`` are boundary, not interior.  On the full
 ring the Bargmann weights ``prod_i k_i! hbar^{k_i}`` solve the equation
 exactly; on ideals the solver freezes the weights near the cap to those
 Bargmann values (the stand-in for the trace-class boundary condition at
-infinity) and runs Levenberg-Marquardt with Marquardt's damping rule in
-``x = log c`` on the remaining sites.  The Jacobian has at most ``2 n + 1``
-entries per row, one per stencil slot, so it is kept in slot form.  The
-residual at degree ``d`` reads only degrees ``d - 1``, ``d`` and ``d + 1``,
-so ``J^T J`` couples levels at most two apart: grouped in pairs of
-consecutive levels, the damped normal equations are symmetric positive
-definite and block-tridiagonal.  Their blocks are summed from the slots and
-solved by block elimination; nothing of size ``sites^2`` is formed.
+infinity) and runs Newton's method in ``x = log c`` on the remaining sites,
+one equation per site.  The square Jacobian is symmetric, with at most
+``2 n + 1`` entries per row, so it is kept as its diagonal and the ``n``
+entries of the upward neighbors.  The residual at degree ``d`` reads only
+degrees ``d - 1``, ``d`` and ``d + 1``, so the Jacobian is block-tridiagonal
+over single levels, and its block on each level is diagonal; its blocks
+are written from the upward entries and the Newton system is solved by
+block elimination, so nothing of size ``sites^2`` is formed.
 
 :func:`commutator_diagnostics` measures how far the truncated shifts are
 from the exact commutation relations ``[Z_i^dagger, Z_j] = hbar delta_ij``
@@ -53,7 +52,7 @@ from .checks import (
     load_json_object,
 )
 from .errors import ConsistencyError, NumericError, SolverError, ValidationError
-from .solver import SolveOptions
+from .solver import SolveOptions, _backtrack
 
 __all__ = [
     "FockTruncation",
@@ -74,15 +73,6 @@ Monomial = Tuple[int, ...]
 
 #: Default number of top levels whose weights are frozen to Bargmann values.
 DEFAULT_BUFFER = 2
-
-#: Marquardt's damping rule for :func:`solve_nekrasov` (Marquardt, SIAM J.
-#: Appl. Math. 11 (1963); Nielsen, IMM-REP-1999-05): start factor on
-#: ``max diag(J^T J)``, floor, change per accepted or rejected trial, and
-#: trials per iteration.
-LM_LAMBDA_START = 1e-3
-LM_LAMBDA_FLOOR = 1e-12
-LM_FACTOR = 10.0
-LM_TRIES = 10
 
 
 def _in_module(m: Monomial, generators) -> bool:
@@ -288,103 +278,86 @@ def _residual_kernel(values, sites, up, down, hbar, m, columns=None):
     Jacobian column, ``-1`` for a frozen weight, and ``sites`` must then be
     the free sites in column order.
 
-    The Jacobian comes in stencil slots, as arrays ``(cols, vals)`` of shape
-    ``(len(sites), 2 n + 1)``: slot 0 holds the diagonal, slots ``2 i + 1``
-    and ``2 i + 2`` the entries of ``up_i`` and ``down_i`` (``i`` from 0).
-    Column ``-1`` marks a frozen or missing neighbor, whose value is 0.  The
-    diagonal accumulates ``-up_1, -down_1, ...``; every other entry is one
-    ratio.
+    The Jacobian comes as ``(diag, cols, vals)``: ``diag`` is its diagonal,
+    which accumulates ``-up_1, -down_1, ...``, and column ``i`` of the
+    ``(len(sites), n)`` arrays ``cols`` and ``vals`` holds the column and
+    the value of the entry of ``up_i`` (``i`` from 0), the ratio
+    ``c_{mu+e_i} / c_mu``; column ``-1`` marks a frozen neighbor.  The
+    entries of the down neighbors are not stored: the Jacobian is
+    symmetric, and the row of ``mu + e_i`` holds in the column of ``mu``
+    the same ratio of the same floats (:func:`_level_blocks`).
     """
     vs = values[sites]
     total = np.full(len(sites), -hbar * m)
-    jac = None
     if columns is not None:
-        cols = np.full((len(sites), 2 * len(up) + 1), -1, dtype=np.int64)
-        vals = np.zeros(cols.shape)
-        cols[:, 0] = np.arange(len(sites))
         diag = np.zeros(len(sites))
-        jac = (cols, vals)
+        cols = np.empty((len(sites), len(up)), dtype=np.int64)
+        vals = np.empty(cols.shape)
     for i in range(len(up)):
         ratio_up = values[up[i]] / vs
         total += ratio_up
         has = down[i] >= 0
-        below = down[i][has]
-        ratio_dn = vs[has] / values[below]
+        ratio_dn = vs[has] / values[down[i][has]]
         total[has] -= ratio_dn
-        if jac is not None:
+        if columns is not None:
             diag -= ratio_up
             diag[has] -= ratio_dn
-            cols[:, 2 * i + 1] = columns[up[i]]
-            vals[:, 2 * i + 1] = ratio_up
-            cols[has, 2 * i + 2] = columns[below]
-            vals[has, 2 * i + 2] = ratio_dn
-    if jac is not None:
-        vals[:, 0] = diag
-        vals[cols < 0] = 0.0
-    return total, jac
+            cols[:, i] = columns[up[i]]
+            vals[:, i] = ratio_up
+    if columns is None:
+        return total, None
+    return total, (diag, cols, vals)
 
 
-def _pair_bounds(degree):
-    """Block bounds of the free sites, whose sorted degrees are ``degree``:
-    block ``k`` holds the sites of the two levels ``degree[0] + 2 k`` and
-    ``degree[0] + 2 k + 1``, at positions ``bounds[k]:bounds[k + 1]``."""
-    first = degree[0]
-    return np.searchsorted(degree, first + 2 * np.arange((degree[-1] - first) // 2 + 2))
+def _level_blocks(jac, bounds):
+    """Blocks of the square Jacobian ``J`` over single levels, from the
+    Jacobian ``jac`` of :func:`_residual_kernel` at the free sites; level
+    ``k`` holds the free sites at positions ``bounds[k]:bounds[k + 1]``.
 
-
-def _normal_equations(jac, r, bounds):
-    """Blocks of ``J^T J`` and ``-J^T r`` for the stencil-slot Jacobian
-    ``jac`` of :func:`_residual_kernel`, with the columns grouped into the
-    level-pair blocks of :func:`_pair_bounds`.
-
-    Returns ``(diagonal, upper), rhs``: ``diagonal[k]`` is the block of
-    ``J^T J`` on block ``k``, and ``upper[k]`` the one coupling block ``k``
-    (rows) to block ``k + 1`` (columns).  No other block is nonzero, and the
-    blocks below the diagonal are the transposes of ``upper``.  Each row of
-    ``J`` has at most ``2 n + 1`` entries, in distinct columns, so a cell
-    receives at most one product per row; ``np.bincount`` adds the products
-    in ascending row order, starting from zero, as the dense sum over the
-    rows would.
+    Returns ``(diagonal, upper)``: ``diagonal[k]`` is the diagonal of the
+    block of level ``k``, its only nonzeros since the stencil leaves a
+    site's level, and ``upper[k]`` the block coupling level ``k`` (rows) to
+    level ``k + 1`` (columns), holding the up entries.  ``J`` is symmetric,
+    so the block below the diagonal is ``upper[k].T``, and no other block
+    is nonzero.  Distinct up neighbors of a site are distinct sites, so
+    each cell is written once.
     """
-    cols, vals = jac
-    hit = cols >= 0
+    diag, cols, vals = jac
     sizes = np.diff(bounds)
-    # block and position in it of each slot's column (garbage where ~hit)
-    block = np.repeat(np.arange(len(sizes)), sizes)[cols]
-    local = cols - bounds[block]
-    step = block[:, None, :] - block[:, :, None]
-    pairs = hit[:, :, None] & hit[:, None, :] & (step >= 0) & (step <= 1)
-    rows, sa, sb = np.nonzero(pairs)
-    ka, step = block[rows, sa], step[rows, sa, sb]
-    # one flat buffer: the diagonal blocks, then the upper ones
-    shapes = [(s, s) for s in sizes] + list(zip(sizes[:-1], sizes[1:]))
-    offsets = np.cumsum([0] + [p * q for p, q in shapes])
+    rows, slots = np.nonzero(cols >= 0)
+    level = np.repeat(np.arange(len(sizes)), sizes)[rows]
+    # one flat buffer holding the upper blocks one after the other
+    offsets = np.cumsum(np.r_[0, sizes[:-1] * sizes[1:]])
     cells = (
-        offsets[ka + len(sizes) * step]
-        + local[rows, sa] * sizes[ka + step]
-        + local[rows, sb]
+        offsets[level]
+        + (rows - bounds[level]) * sizes[level + 1]
+        + cols[rows, slots]
+        - bounds[level + 1]
     )
-    flat = np.bincount(cells, vals[rows, sa] * vals[rows, sb], minlength=offsets[-1])
-    blocks = [flat[o : o + p * q].reshape(p, q) for o, (p, q) in zip(offsets, shapes)]
-    rhs = -np.bincount(cols[hit], (vals * r[:, None])[hit], minlength=len(cols))
-    return (blocks[: len(sizes)], blocks[len(sizes) :]), rhs
+    flat = np.zeros(offsets[-1])
+    flat[cells] = vals[rows, slots]
+    upper = [
+        flat[o : o + p * q].reshape(p, q)
+        for o, p, q in zip(offsets, sizes[:-1], sizes[1:])
+    ]
+    return np.split(diag, bounds[1:-1]), upper
 
 
 def _block_solve(diagonal, upper, rhs, bounds):
-    """Solve the symmetric block-tridiagonal system of :func:`_normal_equations`
-    by block elimination.
+    """Solve ``J delta = rhs`` for the symmetric block-tridiagonal ``J`` of
+    :func:`_level_blocks` by block elimination, level by level upward.
 
-    Each Schur complement ``S_k = A_k - B_{k-1}^T S_{k-1}^{-1} B_{k-1}`` is
-    factored once by ``np.linalg.solve`` on ``[B_k | y_k]``, so a singular
+    Each Schur complement ``S_k = diag(d_k) - U_{k-1}^T S_{k-1}^{-1} U_{k-1}``
+    is factored once by ``np.linalg.solve`` on ``[U_k | y_k]``, so a singular
     complement raises ``np.linalg.LinAlgError``.
     """
     pieces = np.split(rhs, bounds[1:-1])
-    schur, y = diagonal[0], pieces[0]
+    schur, y = np.diag(diagonal[0]), pieces[0]
     eliminated = []
-    for coupling, block, piece in zip(upper, diagonal[1:], pieces[1:]):
+    for coupling, d, piece in zip(upper, diagonal[1:], pieces[1:]):
         w = np.linalg.solve(schur, np.column_stack((coupling, y)))
         eliminated.append(w)
-        schur = block - coupling.T @ w[:, :-1]
+        schur = np.diag(d) - coupling.T @ w[:, :-1]
         y = piece - coupling.T @ w[:, -1]
     x = np.linalg.solve(schur, y)
     solution = [x]
@@ -456,23 +429,33 @@ def solve_nekrasov(
     opts: Optional[SolveOptions] = None,
     buffer: int = DEFAULT_BUFFER,
 ) -> DiagonalMetric:
-    """Levenberg-Marquardt solution of the truncated metric equation.
+    """Newton solution of the truncated metric equation.
 
     Weights at the ``buffer + 1`` top levels (``|mu| >= D - buffer``) are
     frozen to Bargmann values, realizing the boundary condition; the
-    logarithms of the remaining weights are the unknowns.  Each iteration
-    solves the damped normal equations ``(J^T J + lam I) delta = -J^T r``
-    and accepts the step when it lowers ``|r|_2``.  ``J^T J`` is
-    block-tridiagonal over pairs of consecutive levels; its blocks and
-    ``-J^T r`` are summed from the stencil slots (:func:`_normal_equations`),
-    the damping is written onto the diagonal blocks, and the system is solved
-    by block elimination (:func:`_block_solve`).  The damping follows
-    Marquardt's rule: it starts at ``lam = max(1e-12, 1e-3 max diag(J^T J))``,
-    is carried across iterations, is divided by 10 (floor ``1e-12``) after an
-    accepted step and multiplied by 10 after a rejected trial, with at most
-    10 trials per iteration.  Convergence is declared when
-    ``max |r(mu)| <= opts.tol`` over the free sites
+    logarithms ``x`` of the remaining weights are the unknowns, one per free
+    site, and the residuals at the free sites are the equations.  Each
+    iteration solves the square system ``J delta = -r`` and steps along
+    ``delta`` by :func:`momentmap.solver._backtrack` on ``|r|^2`` from the
+    full step, with the directional derivative ``-2 |r|^2``, accepting a
+    trial that lies strictly below the Armijo bound.  Convergence is
+    declared when ``max |r(mu)| <= opts.tol`` over the free sites
     (``|mu| <= D - buffer - 1``).
+
+    ``J`` is nonsingular.  A row of ``J`` holds ``-sum(up + down)`` on the
+    diagonal and the positive ratios ``up``, ``down`` at the free neighbors,
+    so ``-J`` is diagonally dominant, strictly on the top free level, whose
+    upward neighbors are all frozen.  Every site reaches that level by
+    upward shifts, each a nonzero entry of its row, so ``-J`` is weakly
+    chained diagonally dominant and nonsingular (Taussky, Amer. Math.
+    Monthly 56 (1949); Shivakumar and Chew, Proc. AMS 43 (1974)).  ``J`` is
+    also symmetric (it is the negated Hessian of the convex
+    ``sum exp(x_{mu+e_i} - x_mu) + hbar m sum x``, whose gradient is
+    ``-r``), so ``delta`` descends ``|r|^2`` with derivative ``-2 |r|^2``.
+    The stencil leaves a site's level, so ``J`` is block-tridiagonal over
+    single levels with diagonal same-level blocks (:func:`_level_blocks`),
+    and the system is solved by block elimination (:func:`_block_solve`);
+    nothing of size ``sites^2`` is formed.
 
     Parameters
     ----------
@@ -490,8 +473,8 @@ def solve_nekrasov(
     ValidationError
         If ``hbar <= 0``, ``m < 1``, or no free sites remain.
     SolverError
-        On stalling or non-convergence; ``details`` carries the residual
-        profile achieved.
+        When the line search finds no step or ``opts.max_iters`` runs out;
+        ``details`` carries the residual profile achieved.
     """
     if not isinstance(t, FockTruncation):
         raise ValidationError(f"expected FockTruncation, got {type(t).__name__}")
@@ -511,7 +494,9 @@ def solve_nekrasov(
     up, down = _stencil(t, free)
     columns = np.full(len(t.basis), -1, dtype=np.int64)
     columns[free] = np.arange(len(free))
-    bounds = _pair_bounds(t.degree[free])
+    # the levels of a monomial module are consecutive
+    degree = t.degree[free]
+    bounds = np.searchsorted(degree, np.arange(degree[0], degree[-1] + 2))
 
     boundary = fock_weights(t, hbar).values
     x = np.log(boundary)
@@ -527,7 +512,6 @@ def solve_nekrasov(
 
     r, jac = residual_and_jacobian(x)
     best_sup = float(np.max(np.abs(r)))
-    lam = None
     for iteration in range(opts.max_iters):
         sup = float(np.max(np.abs(r)))
         best_sup = min(best_sup, sup)
@@ -540,34 +524,25 @@ def solve_nekrasov(
                 sup,
             )
             return metric
-        norm = float(np.linalg.norm(r))
-        (diagonal, upper), rhs = _normal_equations(jac, r, bounds)
-        undamped = [np.diagonal(block).copy() for block in diagonal]
-        if lam is None:
-            top = max(float(np.max(d)) for d in undamped)
-            lam = max(LM_LAMBDA_FLOOR, LM_LAMBDA_START * top)
-        stepped = False
-        for _ in range(LM_TRIES):
-            # the damped diagonal, in place: off the diagonal lam I adds zeros
-            for block, d in zip(diagonal, undamped):
-                np.fill_diagonal(block, d + lam)
-            try:
-                delta = _block_solve(diagonal, upper, rhs, bounds)
-            except np.linalg.LinAlgError:
-                lam *= LM_FACTOR
-                continue
+        try:
+            delta = _block_solve(*_level_blocks(jac, bounds), -r, bounds)
+        except np.linalg.LinAlgError:
+            break
+
+        def trial(step):
             x_new = x.copy()
-            x_new[free] += delta
+            x_new[free] += step * delta
             with np.errstate(over="ignore", invalid="ignore"):
                 r_new, jac_new = residual_and_jacobian(x_new)
-            if np.all(np.isfinite(r_new)) and np.linalg.norm(r_new) < norm:
-                x, r, jac = x_new, r_new, jac_new
-                lam = max(LM_LAMBDA_FLOOR, lam / LM_FACTOR)
-                stepped = True
-                break
-            lam *= LM_FACTOR
-        if not stepped:
+                value = float(r_new @ r_new)
+            return (x_new, r_new, jac_new), value
+
+        norm2 = float(r @ r)
+        # strict: a trial that leaves |r|^2 where it was is no step; 40 halvings at most
+        accepted = _backtrack(trial, 1.0, norm2, -2.0 * norm2, 1e-12, strict=True)
+        if accepted is None:
             break
+        (x, r, jac), _ = accepted
 
     profile = residual_profile(
         nekrasov_residual(t, DiagonalMetric(t, assemble(x)), hbar, m)

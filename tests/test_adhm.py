@@ -575,6 +575,57 @@ class TestStabilizerDimension:
             assert counts[-1] == reference_stabilizer_dimension(d)
         assert counts == [c for N in range(1, 5) for c in (N * N, N - 1, (N - 1) ** 2)]
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    def test_real_normal_eigenvalues_are_twice_the_squared_singular_values(self, N, k):
+        d = rand_data(N, k, np.random.default_rng(7 * N + k))
+        X = np.stack([d.alpha, d.beta])
+        L = adhm._real_normal(X, X.conj().transpose(0, 2, 1), d.a, d.b)
+        npt.assert_allclose(L, L.conj().T, atol=1e-12 * np.abs(L).max())
+        sigma = np.linalg.svd(reference_action_matrix(d), compute_uv=False)
+        npt.assert_allclose(
+            np.linalg.eigvalsh(-L), np.sort(2.0 * sigma**2), rtol=1e-10, atol=0.0
+        )
+
+    def test_bench_grid_certified_without_the_svd(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_svd_stabilizer_dimension")
+        for seed in (1, 11):
+            for N in range(1, 13):
+                for k in range(1, 5):
+                    d = solve_adhm(N, k, 1.0, seed=seed)
+                    assert stabilizer_dimension(d) == 0
+                    assert reference_stabilizer_dimension(d) == 0
+        assert calls["_svd_stabilizer_dimension"] == 0
+
+    def test_degenerate_data_take_the_svd(self, monkeypatch):
+        # At N = 1 the second and third data are free, and certified.
+        calls = count_calls(monkeypatch, "_svd_stabilizer_dimension")
+        paths = []
+        for d in degenerate_data():
+            before = calls["_svd_stabilizer_dimension"]
+            count = stabilizer_dimension(d)
+            paths.append((count, calls["_svd_stabilizer_dimension"] - before))
+        counts = [c for N in range(1, 5) for c in (N * N, N - 1, (N - 1) ** 2)]
+        assert paths == [(c, int(c > 0)) for c in counts]
+
+    def test_certificate_and_svd_agree_across_the_cut(self, monkeypatch):
+        # alpha = beta = 0, a = e1 + 2 r e2, b = e1^T: u = diag(0, i t) moves
+        # only a, so sigma_min / sigma_max = r, swept across the 1e-9 cut.
+        calls = count_calls(monkeypatch, "_svd_stabilizer_dimension")
+        z = np.zeros((2, 2))
+        counts, paths = [], []
+        for ratio in 10.0 ** -np.arange(3.25, 12.5, 0.5):
+            d = ADHMData(2, 1, z, z, np.array([[1.0], [2.0 * ratio]]), np.array([[1.0, 0.0]]))
+            sigma = np.linalg.svd(reference_action_matrix(d), compute_uv=False)
+            assert sigma[-1] / sigma[0] == pytest.approx(ratio, rel=1e-6)
+            before = calls["_svd_stabilizer_dimension"]
+            counts.append(stabilizer_dimension(d))
+            paths.append(calls["_svd_stabilizer_dimension"] - before)
+            assert counts[-1] == reference_stabilizer_dimension(d)
+        assert counts == [0] * 12 + [1] * 7
+        # certified down to a ratio of 5.6e-7, then the SVD decides
+        assert paths[0] == 0 and paths[-1] == 1 and paths == sorted(paths)
+
     def test_zero_data_full_algebra(self):
         for N in (1, 2, 3):
             d = ADHMData(

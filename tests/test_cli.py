@@ -17,6 +17,8 @@ from momentmap.nekrasov import (
     DiagonalMetric,
     build_truncation,
     nekrasov_residual,
+    solve_nekrasov,
+    truncation_from_json,
 )
 from momentmap.quiver import Arrow, Quiver, Representation, problem_to_json
 
@@ -238,6 +240,11 @@ class TestAdhmSolve:
         assert code == 1
         assert "eta = 0" in capsys.readouterr().err
 
+    def test_exhausted_budget_exits_three(self, capsys):
+        code = main(["adhm", "solve", "--N", "2", "--k", "1", "--eta", "1", "--max-iters", "3"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("solver failure: no convergence")
+
     def test_mirror_flag_flips_the_convention(self, tmp_path):
         out = tmp_path / "result.json"
         code = main(
@@ -277,6 +284,21 @@ class TestNekrasovSolve:
         res = nekrasov_residual(t, DiagonalMetric(t, values), 0.7, 1)
         free_max = max(abs(v) for k, v in res.items() if sum(k) <= 14 - 3)
         assert free_max <= 1e-10
+
+    def test_weights_byte_identical_to_the_per_monomial_lookup(self, tmp_path):
+        problem = tmp_path / "maximal.json"
+        problem.write_text(
+            json.dumps({"n": 2, "module": {"ideal": [[1, 0], [0, 1]]}, "D": 10, "hbar": 0.8})
+        )
+        out = tmp_path / "result.json"
+        assert main(["nekrasov", "solve", str(problem), "--out", str(out)]) == 0
+        t, hbar, m, buffer = truncation_from_json(problem.read_text())
+        metric = solve_nekrasov(t, hbar, m, buffer=buffer)
+        result = json.loads(out.read_text())
+        result["weights"] = [
+            {"monomial": list(mono), "c": metric.weight(mono)} for mono in t.basis
+        ]
+        assert out.read_text() == json.dumps(result, sort_keys=True, indent=2) + "\n"
 
     def test_cap_below_generators_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -20,7 +20,7 @@ from momentmap.nekrasov import (
     solve_nekrasov,
     truncation_from_json,
 )
-from momentmap.solver import SolveOptions
+from momentmap.solver import SolveOptions, _backtrack
 
 
 def reference_commutator_sups(t, c, hbar):
@@ -82,45 +82,28 @@ def reference_residual_and_jacobian(t, values, free, hbar, m):
 
 
 def dense_jacobian(jac):
-    """The square matrix of a stencil-slot Jacobian ``(cols, vals)``."""
-    cols, vals = jac
-    out = np.zeros((len(cols), len(cols)))
+    """The square matrix of a kernel Jacobian ``(diag, cols, vals)``: the up
+    entries, mirrored below the diagonal."""
+    diag, cols, vals = jac
+    out = np.diag(diag)
     rows = np.repeat(np.arange(len(cols)), cols.shape[1]).reshape(cols.shape)
     hit = cols >= 0
     out[rows[hit], cols[hit]] = vals[hit]
+    out[cols[hit], rows[hit]] = vals[hit]
     return out
 
 
-def reference_normal_equations(jac, r):
-    """``J^T J`` and ``-J^T r`` of a dense ``J``, one row at a time in
-    ascending order, over the nonzero entries of each row."""
-    normal = np.zeros((len(r), len(r)))
-    rhs = np.zeros(len(r))
-    for q in range(len(r)):
-        nonzero = np.flatnonzero(jac[q])
-        for a in nonzero:
-            rhs[a] += jac[q, a] * r[q]
-            for b in nonzero:
-                normal[a, b] += jac[q, a] * jac[q, b]
-    return normal, -rhs
-
-
-def dense_blocks(normal, bounds):
-    """Diagonal, upper and lower blocks of a dense matrix over the level-pair
-    bounds, and the mask of cells outside the block-tridiagonal band."""
-    parts = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    diagonal = [normal[p, p] for p in parts]
-    upper = [normal[p, q] for p, q in zip(parts, parts[1:])]
-    lower = [normal[q, p] for p, q in zip(parts, parts[1:])]
-    block = np.repeat(np.arange(len(parts)), np.diff(bounds))
-    outside = np.abs(block[:, None] - block[None, :]) > 1
-    return diagonal, upper, lower, outside
+def level_bounds(t, free):
+    """Start of each level among the free sites, and their count."""
+    degree = [sum(t.basis[p]) for p in free]
+    starts = [q for q in range(len(free)) if q == 0 or degree[q - 1] != degree[q]]
+    return np.array(starts + [len(free)])
 
 
 def reference_solve(t, hbar, m, opts=SolveOptions(), buffer=2):
-    """``solve_nekrasov`` with the loop residual and the row-loop normal
-    equations rebuilt on every damping retry, under the same Marquardt
-    damping rule; returns the log-weights reached."""
+    """``solve_nekrasov`` with the loop residual and the dense Jacobian solved
+    by ``np.linalg.solve``, under the same line search; returns the
+    log-weights reached."""
     free = [p for p, mono in enumerate(t.basis) if sum(mono) <= t.D - buffer - 1]
     boundary = fock_weights(t, hbar).values
     x = np.log(boundary)
@@ -131,32 +114,24 @@ def reference_solve(t, hbar, m, opts=SolveOptions(), buffer=2):
         return reference_residual_and_jacobian(t, vals, free, hbar, m)
 
     r, jac = residual_and_jacobian(x)
-    lam = max(1e-12, 1e-3 * float(np.max(np.diag(reference_normal_equations(jac, r)[0]))))
     for _ in range(opts.max_iters):
         if float(np.max(np.abs(r))) <= opts.tol:
             break
-        norm = float(np.linalg.norm(r))
-        stepped = False
-        for _ in range(10):
-            normal, rhs = reference_normal_equations(jac, r)
-            lhs = normal + lam * np.eye(len(free))
-            try:
-                delta = np.linalg.solve(lhs, rhs)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
+        delta = np.linalg.solve(jac, -r)
+
+        def trial(step):
             x_new = x.copy()
-            x_new[free] += delta
+            x_new[free] += step * delta
             with np.errstate(over="ignore", invalid="ignore"):
                 r_new, jac_new = residual_and_jacobian(x_new)
-            if np.all(np.isfinite(r_new)) and np.linalg.norm(r_new) < norm:
-                x, r, jac = x_new, r_new, jac_new
-                lam = max(1e-12, lam / 10.0)
-                stepped = True
-                break
-            lam *= 10.0
-        if not stepped:
+                value = float(r_new @ r_new)
+            return (x_new, r_new, jac_new), value
+
+        norm2 = float(r @ r)
+        accepted = _backtrack(trial, 1.0, norm2, -2.0 * norm2, 1e-12, strict=True)
+        if accepted is None:
             break
+        (x, r, jac), _ = accepted
     return x
 
 
@@ -443,9 +418,10 @@ class TestSolveNekrasov:
     @pytest.mark.parametrize(
         "n,module,D", [(1, [(1,)], 40), (2, [(1, 1)], 30)], ids=["<z>", "<z1z2>"]
     )
-    def test_marquardt_damping_converges_in_few_evaluations(self, monkeypatch, n, module, D):
-        # A damping reset to |r| on every iteration took 203 and 172
-        # residual evaluations here.
+    def test_newton_converges_in_few_evaluations(self, monkeypatch, n, module, D):
+        # Levenberg-Marquardt on the level-pair normal equations took 10 and
+        # 9 residual evaluations here, with a damping reset to |r| on every
+        # iteration 203 and 172.
         calls = []
         kernel = nekrasov._residual_kernel
 
@@ -456,7 +432,7 @@ class TestSolveNekrasov:
         monkeypatch.setattr(nekrasov, "_residual_kernel", counted)
         t = build_truncation(n, module, D)
         solve_nekrasov(t, 1.0, n)
-        assert len(calls) <= 12
+        assert len(calls) <= 7
 
     @staticmethod
     def rejected_trials(monkeypatch):
@@ -483,7 +459,7 @@ class TestSolveNekrasov:
 
         return count
 
-    def test_rejected_trial_raises_damping_and_converges(self, monkeypatch):
+    def test_rejected_trial_backtracks_and_converges(self, monkeypatch):
         count = self.rejected_trials(monkeypatch)
         t = build_truncation(1, [(1,)], 20)
         c = solve_nekrasov(t, 5.0, 4)
@@ -492,13 +468,23 @@ class TestSolveNekrasov:
         assert max(abs(v) for k, v in res.items() if sum(k) <= 17) <= 1e-10
 
     def test_no_accepted_trial_stops_with_profile(self, monkeypatch):
-        monkeypatch.setattr(nekrasov, "LM_TRIES", 1)
-        monkeypatch.setattr(nekrasov, "LM_LAMBDA_START", 1e-12)
+        # The reversed Newton step ascends |r|^2, so the line search rejects
+        # every trial down to its floor.
+        block_solve = nekrasov._block_solve
+        monkeypatch.setattr(nekrasov, "_block_solve", lambda *args: -block_solve(*args))
+        count = self.rejected_trials(monkeypatch)
         t = build_truncation(1, [(1,)], 20)
         with pytest.raises(SolverError) as err:
             solve_nekrasov(t, 5.0, 3)
+        assert count() > 0
         profile = err.value.details["residual_profile"]
         assert [entry["degree"] for entry in profile] == list(range(1, 20))
+        # no step was taken: the profile is the start's, log weights included
+        start = fock_weights(t, 5.0).values.copy()
+        start[:17] = np.exp(np.log(start[:17]))
+        assert profile == residual_profile(
+            nekrasov_residual(t, DiagonalMetric(t, start), 5.0, 3)
+        )
 
     @pytest.mark.parametrize("hbar", [0.1, 5.0])
     @pytest.mark.parametrize(
@@ -644,46 +630,41 @@ class TestBitwiseParity:
 
     @pytest.mark.parametrize("n,module,D", PARITY_CASES)
     def test_normal_equations_by_level_blocks(self, n, module, D):
+        """The Newton equations ``J delta = -r``: the level blocks are those of
+        the dense Jacobian, bitwise, and block elimination solves them."""
         t = build_truncation(n, module, D)
         hbar, m = 0.8, n + 1
         free = np.flatnonzero(t.degree <= D - 3)
-        bounds = nekrasov._pair_bounds(t.degree[free])
-        degree = [sum(t.basis[p]) for p in free]
-        starts = [
-            q
-            for q in range(len(free))
-            if (q == 0 or degree[q - 1] != degree[q]) and (degree[q] - degree[0]) % 2 == 0
-        ]
-        assert bounds.tolist() == starts + [len(free)]
+        bounds = level_bounds(t, free)
         columns = np.full(len(t.basis), -1)
         columns[free] = np.arange(len(free))
         stencil = nekrasov._stencil(t, free)
+        parts = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        level = np.repeat(np.arange(len(parts)), np.diff(bounds))
+        outside = np.abs(level[:, None] - level[None, :]) > 1
         rng = np.random.default_rng(D)
         for values in (
             fock_weights(t, hbar).values,
             np.exp(rng.standard_normal(len(t.basis))),
         ):
             r, jac = nekrasov._residual_kernel(values, free, *stencil, hbar, m, columns)
-            want_r, want_jac = reference_residual_and_jacobian(t, values, free, hbar, m)
-            want_normal, want_rhs = reference_normal_equations(want_jac, want_r)
-            want_diag, want_upper, want_lower, outside = dense_blocks(want_normal, bounds)
-            assert not np.any(want_normal[outside])
-            (diagonal, upper), rhs = nekrasov._normal_equations(jac, r, bounds)
-            assert rhs.tobytes() == want_rhs.tobytes()
-            assert [b.tobytes() for b in diagonal] == [b.tobytes() for b in want_diag]
-            assert [b.tobytes() for b in upper] == [b.tobytes() for b in want_upper]
-            assert [b.T.tobytes() for b in upper] == [b.tobytes() for b in want_lower]
+            _, want = reference_residual_and_jacobian(t, values, free, hbar, m)
+            assert want.tobytes() == want.T.tobytes()
+            assert not np.any(want[outside])
+            diagonal, upper = nekrasov._level_blocks(jac, bounds)
+            assert len(diagonal) == len(parts) and len(upper) == len(parts) - 1
+            for d, p in zip(diagonal, parts):
+                assert np.diag(d).tobytes() == want[p, p].tobytes()
+            for u, p, q in zip(upper, parts, parts[1:]):
+                assert u.tobytes() == want[p, q].tobytes()
 
-            lam = nekrasov.LM_LAMBDA_START * np.max(np.diag(want_normal))
-            want = np.linalg.solve(want_normal + lam * np.eye(len(free)), want_rhs)
-            for block in diagonal:
-                block += lam * np.eye(len(block))
-            got = nekrasov._block_solve(diagonal, upper, rhs, bounds)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            expected = np.linalg.solve(want, -r)
+            got = nekrasov._block_solve(diagonal, upper, -r, bounds)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_singular_schur_complement_raises(self):
         bounds = np.array([0, 2, 3])
-        diagonal = [np.eye(2), np.ones((1, 1))]
+        diagonal = [np.ones(2), np.ones(1)]
         upper = [np.array([[1.0], [0.0]])]
         with pytest.raises(np.linalg.LinAlgError):
             nekrasov._block_solve(diagonal, upper, np.ones(3), bounds)
