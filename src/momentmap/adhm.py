@@ -28,10 +28,17 @@ equation ``mu_C = 0``, then a Newton step on ``mu_R = 0`` along the
 complexified gauge orbit, which preserves ``mu_C`` to first order (King,
 Quart. J. Math. 45 (1994); Nakajima, Lectures on Hilbert Schemes of Points
 on Surfaces, 1999).  Both ``N^2 x N^2`` normal matrices are sums of
-Kronecker products of ``N x N`` blocks, assembled in closed form.
-Both phases work on one packed vector: ``alpha, beta`` are one
-``(2, N, N)`` view of it, so each moment evaluation, gradient and step takes
-stacked products.
+Kronecker products of ``N x N`` blocks, assembled in closed form.  For
+``eta != 0`` U(N) acts freely at the solutions (Nakajima, ch. 3), so both
+matrices are nonsingular near one; a Newton step that is singular or does
+not lower the objective hands the start back to the descent for good.
+Each start is one run, which keeps its least-objective iterate to report
+on a stall.
+Everything works on one packed vector ``[alpha, beta, a, b]``
+(:func:`_pack`): ``alpha, beta`` are one ``(2, N, N)`` view of it, so each
+moment evaluation (:func:`_fused_moments`, also behind
+:func:`adhm_residuals`), gradient, step and gauge action (:func:`_gauge`)
+takes stacked products.
 Nondegeneracy of a solution is certified by :func:`stabilizer_dimension`,
 the real nullity of the linearized U(N)-action.  Minus the matrix of the
 Newton real step has the eigenvalues ``2 sigma^2``, ``sigma`` the singular
@@ -152,24 +159,6 @@ def build_adhm_quiver(k: int) -> Quiver:
     return Quiver(("1", "2"), tuple(arrows))
 
 
-def _moments(mats, adj, eta_id: np.ndarray):
-    """Both moment maps of the blocks ``mats = [alpha, beta, a, b]``, given
-    their conjugate transposes ``adj`` and ``eta_id = eta Id``."""
-    al, be, a, b = mats
-    al_h, be_h, a_h, b_h = adj
-    mu_c = al @ be - be @ al + a @ b
-    mu_r = (
-        al_h @ al
-        - al @ al_h
-        + be_h @ be
-        - be @ be_h
-        + b_h @ b
-        - a @ a_h
-        - eta_id
-    )
-    return mu_c, mu_r
-
-
 def adhm_residuals(d: ADHMData, eta: float) -> ADHMResiduals:
     """Evaluate both moment equations at the given data.
 
@@ -181,8 +170,8 @@ def adhm_residuals(d: ADHMData, eta: float) -> ADHMResiduals:
     if not isinstance(d, ADHMData):
         raise ValidationError(f"expected ADHMData, got {type(d).__name__}")
     eta = check_real("eta", eta)
-    mats = [d.alpha, d.beta, d.a, d.b]
-    mu_c, mu_r = _moments(mats, [m.conj().T for m in mats], eta * np.eye(d.N))
+    x = _pack([d.alpha, d.beta, d.a, d.b])
+    mu_c, mu_r = _fused_moments(x, d.k, eta * np.eye(d.N))[4:]
 
     sup_r = sup_norm(mu_r)
     herm_defect = sup_norm(mu_r - mu_r.conj().T)
@@ -207,8 +196,11 @@ def adhm_residuals(d: ADHMData, eta: float) -> ADHMResiduals:
     )
 
 
-def _pack(mats) -> np.ndarray:
-    return np.concatenate([m.ravel() for m in mats])
+def _pack(mats, lead=()) -> np.ndarray:
+    """The blocks ``mats`` flattened and concatenated into one packed vector,
+    or, with leading stack axes ``lead`` shared by every block, into a stack
+    of packed vectors."""
+    return np.concatenate([m.reshape(*lead, -1) for m in mats], axis=-1)
 
 
 #: Memory of the nonmonotone line search in :func:`_descend` (Grippo,
@@ -231,14 +223,6 @@ _FROBENIUS_MARGIN = 1e-6
 #: scale-free: ``x -> |eta|^(1/2) x`` maps the system at ``eta / |eta|`` to
 #: the one at ``eta`` and multiplies the objective by ``eta^2``.
 NEWTON_SWITCH = 0.1
-
-#: Newton steps in one phase of :func:`_descend` before it returns to the
-#: descent.
-NEWTON_STEPS = 5
-
-#: After a Newton phase that fails, the next one starts only once the
-#: descent has lowered the objective by this factor.
-NEWTON_RETRY = 1e-2
 
 
 def _fused_moments(x: np.ndarray, k: int, eta_id: np.ndarray):
@@ -267,22 +251,18 @@ def _adjoint_c(XH, a, b, y) -> np.ndarray:
     alpha^dagger y - y alpha^dagger, y b^dagger, a^dagger y)``.  The loop
     blocks come from the stack ``W = [beta^dagger, alpha^dagger]`` as
     ``[y, W]`` with the second block negated."""
-    n, k = a.shape
-    split = 2 * n * n
-    out = np.empty(split + 2 * n * k, dtype=complex)
-    G = out[:split].reshape(2, n, n)
     W = XH[::-1]
-    np.subtract(y @ W, W @ y, out=G)
+    G = y @ W - W @ y
     G[1] *= -1.0
-    out[split : split + n * k] = (y @ b.conj().T).ravel()
-    out[split + n * k :] = (a.conj().T @ y).ravel()
-    return out
+    return _pack([G, y @ b.conj().T, a.conj().T @ y])
 
 
 def _gauge(X, a, b, s) -> np.ndarray:
     """Infinitesimal action ``s.x = ([s, alpha], [s, beta], s a, -b s)`` of
-    ``s`` in gl(N), packed like ``x``."""
-    return _pack([s @ X - X @ s, s @ a, -(b @ s)])
+    ``s`` in gl(N), packed like ``x``; on a stack ``s`` of shape
+    ``(m, N, N)``, the ``(m, len(x))`` stack of the actions."""
+    t = s[..., None, :, :]
+    return _pack([t @ X - X @ t, s @ a, -b @ s], s.shape[:-2])
 
 
 def _fused_gradient(parts) -> np.ndarray:
@@ -366,18 +346,10 @@ def _newton_step(x, parts, k: int, eta_id: np.ndarray) -> np.ndarray:
 def _solve_once(
     N: int, k: int, eta: float, rng: np.random.Generator, opts: SolveOptions
 ):
-    """One gradient-descent run from a random start on the packed blocks
+    """One run of :func:`_descend` from a random start on the packed blocks
     ``[alpha, beta, a, b]``; returns ``(data, residuals)`` on success, or
-    ``(None, best)`` on stall.  Only the returned solution is validated.
-
-    The run takes the two residual sup norms (two SVDs) only at iterates
-    that can pass the ``tol`` test: an ``N x N`` matrix has
-    ``|A|_2 >= |A|_F / sqrt(N)``, so an iterate with
-    ``|mu|_F^2 > N (tol (1 + 1e-6))^2`` for either residual cannot, and the
-    objective already holds both Frobenius sums.  The best residual pair is
-    read only on a stall, so a stalled run is replayed from the same start
-    with both sup norms taken at every iterate; the replay follows the same
-    iterates and reports the pair a tracked run would."""
+    ``(None, best)`` on stall, ``best`` as :func:`_descend` reports it.  Only
+    the returned solution is validated."""
 
     def rand(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -385,11 +357,7 @@ def _solve_once(
     scale = max(1.0, abs(eta)) ** 0.5
     shapes = ((N, N), (N, N), (N, k), (k, N))
     start = _pack([0.5 * scale * rand(shape) for shape in shapes])
-    eta_id = eta * np.eye(N)
-
-    parts, best = _descend(start, k, eta_id, opts, track=False)
-    if parts is None:
-        parts, best = _descend(start, k, eta_id, opts, track=True)
+    parts, best = _descend(start, k, eta * np.eye(N), opts)
     if parts is None:
         return None, best
     X, _, a, b = parts[:4]
@@ -397,7 +365,7 @@ def _solve_once(
     return d, adhm_residuals(d, eta)
 
 
-def _descend(x, k: int, eta_id: np.ndarray, opts: SolveOptions, track: bool):
+def _descend(x, k: int, eta_id: np.ndarray, opts: SolveOptions):
     """Adaptive Barzilai-Borwein gradient descent with a nonmonotone
     backtracking line search from the packed start ``x``, finished by Newton
     steps.
@@ -413,20 +381,22 @@ def _descend(x, k: int, eta_id: np.ndarray, opts: SolveOptions, track: bool):
     by ``BACKTRACK`` down to ``1e-18`` until it is.
 
     Once the objective is below ``NEWTON_SWITCH eta^2``, iterations are Newton
-    steps (:func:`_newton_step`).  A step is kept when it lowers the
-    objective.  The phase ends at a singular normal matrix, a step not kept,
-    or ``NEWTON_STEPS`` steps without reaching ``tol``; the descent then
-    resumes from the current iterate with a fresh step history, and the
-    next phase waits until the objective is below ``NEWTON_RETRY`` times its
-    value there.  Every Newton step counts as one of ``opts.max_iters``
-    iterations.
+    steps (:func:`_newton_step`) for as long as each one lowers the
+    objective.  At a singular normal matrix, or at a step that does not
+    lower it, the descent resumes in the same iteration from the current
+    iterate with a fresh step history and finishes the start.  Every kept
+    Newton step counts as one of ``opts.max_iters`` iterations.
 
-    Returns ``(parts, best)``: the :func:`_fused_moments` output at the
-    first iterate whose residual sup norms are both at most ``opts.tol``
-    (``None`` on a stall) and, with ``track``, the best residual pair seen
-    (else ``None``).  Without ``track`` the sup norms are taken only where
-    the Frobenius bound of :func:`_solve_once` allows the ``tol`` test to
-    pass."""
+    The two residual sup norms (two SVDs) are taken only at iterates that
+    can pass the ``tol`` test: an ``N x N`` matrix has
+    ``|A|_2 >= |A|_F / sqrt(N)``, so an iterate with
+    ``|mu|_F^2 > N (tol (1 + 1e-6))^2`` for either residual cannot, and the
+    objective already holds both Frobenius sums.
+
+    Returns ``(parts, None)``, the :func:`_fused_moments` output at the
+    first iterate whose residual sup norms are both at most ``opts.tol``, or
+    on a stall ``(None, best)``: ``best = (value, sup_c, sup_r)``, the
+    objective and the two sup norms at the iterate of least objective."""
     bound = len(eta_id) * (opts.tol * (1.0 + _FROBENIUS_MARGIN)) ** 2
 
     def evaluate(vec):
@@ -439,36 +409,29 @@ def _descend(x, k: int, eta_id: np.ndarray, opts: SolveOptions, track: bool):
     value, may_pass, parts = evaluate(x)
     g = _fused_gradient(parts)
     recent = deque([value], maxlen=GLL_MEMORY)
-    best = (sup_norm(parts[4]), sup_norm(parts[5])) if track else None
+    least = (value, parts)
     x_prev = g_prev = None
     switch = NEWTON_SWITCH * eta_id[0, 0] ** 2  # eta_id = eta Id
-    newton_steps = 0
 
     for _ in range(opts.max_iters):
-        if track or may_pass:
-            sup_c, sup_r = sup_norm(parts[4]), sup_norm(parts[5])
-            if track and max(sup_c, sup_r) < max(best):
-                best = (sup_c, sup_r)
-            if sup_c <= opts.tol and sup_r <= opts.tol:
-                return parts, best
+        if value < least[0]:
+            least = (value, parts)
+        if may_pass and sup_norm(parts[4]) <= opts.tol and sup_norm(parts[5]) <= opts.tol:
+            return parts, None
 
         if value < switch:
-            newton_steps += 1
             try:
                 point = _newton_step(x, parts, k, eta_id)
             except np.linalg.LinAlgError:
                 point = None
             evaluated = None if point is None else evaluate(point)
-            kept = evaluated is not None and evaluated[0] < value
-            if kept:
+            if evaluated is not None and evaluated[0] < value:
                 x, (value, may_pass, parts) = point, evaluated
-            if not kept or newton_steps == NEWTON_STEPS:
-                switch = NEWTON_RETRY * value
-                newton_steps = 0
-                recent = deque([value], maxlen=GLL_MEMORY)
-                x_prev = g_prev = None
-                g = _fused_gradient(parts)
-            continue
+                continue
+            switch = 0.0  # no objective is below 0: the descent finishes the start
+            recent = deque([value], maxlen=GLL_MEMORY)
+            x_prev = g_prev = None
+            g = _fused_gradient(parts)
 
         gnorm2 = float(np.vdot(g, g).real)
         if gnorm2 == 0.0:
@@ -495,7 +458,8 @@ def _descend(x, k: int, eta_id: np.ndarray, opts: SolveOptions, track: bool):
         (x, (value, may_pass, parts)), _ = accepted
         recent.append(value)
         g = _fused_gradient(parts)
-    return None, best
+    value, parts = least
+    return None, (value, sup_norm(parts[4]), sup_norm(parts[5]))
 
 
 def solve_adhm(
@@ -512,24 +476,28 @@ def solve_adhm(
     residual sup norms fall below ``opts.tol``: adaptive Barzilai-Borwein
     gradient descent with a nonmonotone backtracking line search, then, from
     an objective below ``NEWTON_SWITCH eta^2``, Newton steps that solve the
-    complex equation and, along the complexified gauge orbit, the real one
-    (see :func:`_descend`).  ``opts.max_iters`` bounds the descent
-    iterations and Newton steps of each start together.  The returned data
-    is re-verified through :func:`adhm_residuals`.
+    complex equation and, along the complexified gauge orbit, the real one,
+    for as long as each lowers the objective (see :func:`_descend`).
+    ``opts.max_iters`` bounds the descent iterations and Newton steps of each
+    start together, and each start is one run.  The returned data is
+    re-verified through :func:`adhm_residuals`.
 
     Raises
     ------
     ValidationError
         If ``eta = 0`` — the undeformed problem is King's equation for the
         embedded quiver representation and belongs to the metric solver,
-        whose output must then be checked for nondegeneracy separately.
+        whose output must then be checked for nondegeneracy separately — or
+        if ``seed`` is not an integer >= 0.
     SolverError
         If no run converges within ``opts.max_iters``; carries in
-        ``details`` the residual pair of all starts with the smallest
-        ``max(sup_c, sup_r)``, the key each run ranks its iterates by.
+        ``details`` the residual sup norms ``best_sup_c`` and ``best_sup_r``
+        at the iterate of least objective over all starts, the objective
+        each run ranks its iterates by.
     """
     N, k = check_int("N", N, 1), check_int("k", k, 1)
     eta = check_real("eta", eta)
+    seed = check_int("seed", seed, 0)
     if eta == 0.0:
         raise ValidationError(
             "eta = 0 is the undeformed system: solve it as King's equation "
@@ -539,7 +507,7 @@ def solve_adhm(
     if opts is None:
         opts = SolveOptions()
     rng = np.random.default_rng(seed)
-    best = (np.inf, np.inf)
+    best = (np.inf, np.inf, np.inf)
     restarts = 5
     for attempt in range(restarts):
         data, outcome = _solve_once(N, k, eta, rng, opts)
@@ -548,11 +516,11 @@ def solve_adhm(
                 "deformed system solved: N=%d k=%d eta=%g attempt=%d", N, k, eta, attempt
             )
             return data
-        best = min(best, outcome, key=max)
+        best = min(best, outcome)
     raise SolverError(
         f"no convergence to tol={opts.tol} within {opts.max_iters} iterations "
         f"({restarts} starts)",
-        details={"best_sup_c": best[0], "best_sup_r": best[1]},
+        details={"best_sup_c": best[1], "best_sup_r": best[2]},
     )
 
 
@@ -641,14 +609,9 @@ def _certified_free(d: ADHMData) -> bool:
 
 def _action_matrix(d: ADHMData) -> np.ndarray:
     """Real matrix of the linearized action: column ``j`` holds the real, then
-    the imaginary parts of the image of ``u = 1j * hermitian_basis(N)[j]``,
-    packed as ``([u, alpha], [u, beta], u a, -b u)``."""
-    n = d.N
-    u = 1j * hermitian_basis(n)[:, None]
-    x = np.stack([d.alpha, d.beta])
-    image = np.concatenate(
-        [part.reshape(n * n, -1) for part in (u @ x - x @ u, u @ d.a, -d.b @ u)], axis=1
-    )
+    the imaginary parts of :func:`_gauge` at ``u = 1j * hermitian_basis(N)[j]``."""
+    X = np.stack([d.alpha, d.beta])
+    image = _gauge(X, d.a, d.b, 1j * hermitian_basis(d.N))
     return np.concatenate([image.real, image.imag], axis=1).T
 
 

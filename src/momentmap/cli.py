@@ -54,6 +54,7 @@ import numpy as np
 
 from . import __version__
 from .adhm import adhm_residuals, adhm_to_json, solve_adhm, stabilizer_dimension
+from .checks import check_int
 from .cyclic import ConnectionData, universal_hamiltonian
 from .errors import ConsistencyError, NumericError, SolverError, ValidationError
 from .fock import verify_state_identities
@@ -211,15 +212,14 @@ def _cmd_verify_universal(args):
     quiver, dims, eta, _rep = parse_quiver_spec(
         text, allow_nonzero_slope=args.allow_nonzero_slope
     )
-    if args.samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {args.samples}")
-    rng = np.random.default_rng(args.seed)
+    samples = check_int("samples", args.samples, 1)
+    rng = np.random.default_rng(check_int("seed", args.seed, 0))
 
     def rand_complex(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     worst = 0.0
-    for _ in range(args.samples):
+    for _ in range(samples):
         mats = {
             a.name: rand_complex((dims[a.dst], dims[a.src])) for a in quiver.arrows
         }
@@ -259,7 +259,7 @@ def _cmd_verify_universal(args):
 
     passed = worst < UNIVERSAL_TOL
     result = {
-        "samples": args.samples,
+        "samples": samples,
         "max_deviation": worst,
         "threshold": UNIVERSAL_TOL,
     }

@@ -525,7 +525,7 @@ def xi_welldefinedness_probe(
     samples : int
         Number of random samples (0 returns 0.0).
     seed : int
-        Random generator seed.
+        Random generator seed, an integer >= 0.
     quiver : Quiver, optional
         Quiver to probe; defaults to a three-vertex quiver with a loop, a
         parallel arrow pair, and a directed cycle.
@@ -536,9 +536,9 @@ def xi_welldefinedness_probe(
         Maximum absolute deviation ``|Xi(left) - Xi(right)|`` observed.
     """
     samples = check_int("samples", samples, 0)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     if quiver is None:
         quiver = _default_probe_quiver()
-    rng = np.random.default_rng(seed)
 
     def rand_scalars(keys):
         return {

@@ -116,7 +116,7 @@ def as_hermitian(a, name: str = "matrix") -> np.ndarray:
     defect = sup_norm(arr - arr.conj().T)
     if defect > DEFAULT_TOL * max(1.0, sup_norm(arr)):
         raise ValidationError(f"{name}: not Hermitian (defect {defect:.3e})")
-    return hermitian_part(arr)
+    return _hermitian_part(arr)
 
 
 def as_positive_definite(a, name: str = "metric") -> np.ndarray:
@@ -188,7 +188,7 @@ def hermitian_log(h) -> np.ndarray:
         return pd
     w, u = _eigh(pd)
     out = (u * np.log(w)) @ u.conj().T
-    return hermitian_part(out)
+    return _hermitian_part(out)
 
 
 def metric_adjoint(t, h_src, h_dst) -> np.ndarray:

@@ -241,10 +241,10 @@ def random_representation(quiver: Quiver, dims: Mapping[str, int], seed: int) ->
     """Deterministic representation with i.i.d. standard complex Gaussian entries.
 
     Each entry is ``(x + i y)/sqrt(2)`` with ``x, y ~ N(0, 1)``, so the complex
-    variance ``E|z|^2`` is 1.
+    variance ``E|z|^2`` is 1.  ``seed`` must be an integer >= 0.
     """
     dims = validate_dims(quiver, dims)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     mats = {}
     for a in quiver.arrows:
         shape = (dims[a.dst], dims[a.src])

@@ -20,7 +20,7 @@ from momentmap.checks import (
     graded_monomials,
     load_json_object,
 )
-from momentmap.cyclic import BElement
+from momentmap.cyclic import BElement, xi_welldefinedness_probe
 from momentmap.errors import ParseError, ValidationError
 from momentmap.moment import KahlerData, identity_metric, king_residual
 from momentmap.nekrasov import (
@@ -36,6 +36,7 @@ from momentmap.quiver import (
     Quiver,
     Representation,
     parse_quiver_spec,
+    random_representation,
     validate_dims,
     validate_eta,
 )
@@ -117,6 +118,21 @@ REAL_SITES = {
 def test_real_sites_reject_non_reals(site, value):
     with pytest.raises(ValidationError):
         REAL_SITES[site](value)
+
+
+#: Every place a random seed enters the program.
+SEED_SITES = {
+    "solve_adhm": lambda x: solve_adhm(1, 1, 1.0, seed=x),
+    "random_representation": lambda x: random_representation(LOOP, {"v": 1}, x),
+    "xi_welldefinedness_probe": lambda x: xi_welldefinedness_probe(1, seed=x),
+}
+
+
+@pytest.mark.parametrize("value", [-1, True, 2.5])
+@pytest.mark.parametrize("site", sorted(SEED_SITES))
+def test_seed_sites_reject_non_seeds(site, value):
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+        SEED_SITES[site](value)
 
 
 def test_real_sites_accept_fractions():

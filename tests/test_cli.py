@@ -429,6 +429,18 @@ class TestMalformedInputExitsCleanly:
         assert main(["king", "solve", str(loop_problem), "--tol", "inf"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("group", ["adhm", "king"])
+    def test_negative_seed(self, three_vertex_problem, capsys, group):
+        argv = {
+            "adhm": ["adhm", "solve", "--N", "2", "--k", "1", "--eta", "1"],
+            "king": ["king", "verify-universal", str(three_vertex_problem),
+                     "--allow-nonzero-slope"],
+        }[group]
+        assert main(argv + ["--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be an integer >= 0")
+        assert "Traceback" not in err
+
     def test_unwritable_output(self, loop_problem, tmp_path, capsys):
         out = tmp_path / "missing" / "result.json"
         assert main(["king", "solve", str(loop_problem), "--out", str(out)]) == 1

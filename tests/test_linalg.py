@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from momentmap import linalg
 from momentmap.errors import ValidationError
 from momentmap.linalg import (
     _INV_SQRT2,
@@ -18,6 +19,7 @@ from momentmap.linalg import (
     hermitian_basis,
     hermitian_exp,
     hermitian_log,
+    hermitian_part,
     metric_adjoint,
     sup_norm,
 )
@@ -62,6 +64,22 @@ class TestConstructors:
         a[0, 1] += 1e-14  # below tolerance
         h = as_hermitian(a)
         npt.assert_array_equal(h, h.conj().T)
+
+    def test_hermitian_validates_once(self, monkeypatch):
+        # The input is checked and copied once; the symmetrisation is the
+        # public hermitian_part's, bitwise.
+        a = random_hermitian(np.random.default_rng(1), 3).T
+        want = hermitian_part(a)
+        calls = []
+        check = linalg.as_complex_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "as_complex_matrix", counted)
+        assert as_hermitian(a).tobytes() == want.tobytes()
+        assert len(calls) == 1
 
     def test_positive_definite_rejects_semidefinite(self):
         with pytest.raises(ValidationError):
