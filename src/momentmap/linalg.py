@@ -81,6 +81,17 @@ def sup_norm(a) -> float:
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
+def _max_sup_norm(mats) -> float:
+    """``max((sup_norm(m) for m in mats), default=0.0)``, bitwise, from one
+    stacked SVD per shape of the non-empty matrices."""
+    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
+    norms = np.array([0.0 if m.ndim == 2 else sup_norm(m) for m in mats])
+    for shape in {m.shape for m in mats if m.ndim == 2 and m.size}:
+        idx = [i for i, m in enumerate(mats) if m.shape == shape]
+        norms[idx] = np.linalg.svd(np.stack([mats[i] for i in idx]), compute_uv=False)[:, 0]
+    return max(norms.tolist(), default=0.0)
+
+
 def frobenius_norm(a) -> float:
     """Frobenius norm; 0.0 for empty matrices."""
     arr = np.asarray(a, dtype=np.complex128)
@@ -256,15 +267,6 @@ def _frechet_exp(hs: np.ndarray, hx: np.ndarray) -> np.ndarray:
         return hs
     w, u = _eigh(hs)
     return _frechet_apply(u, _frechet_kernel(w), hx)
-
-
-def _exp_spectrum(h: np.ndarray):
-    """``(exp(h), eigenvectors, Frechet kernel)`` of Hermitian ``h``, one eigh;
-    on a stack of matrices, one stacked eigh and stacked results."""
-    if h.shape[-1] == 0:
-        return h, None, None
-    w, u = _eigh(h)
-    return _exp_from_eigh(w, u), u, _frechet_kernel(w)
 
 
 def _frechet_kernel(w: np.ndarray) -> np.ndarray:

@@ -19,7 +19,9 @@ the moment-map equation.  The Kempf-Ness functional
 
 has gradient zero exactly at metrics where every ``mu_v`` vanishes (for the
 trace pairing on Hermitian ``s``); its eta-term sign is fixed by that
-criticality requirement.
+criticality requirement.  Both, and the metric ``exp(s)``, are read off one
+stacked eigh per vertex dimension (:func:`_eigenpairs`), whose eigenvalues
+halved give ``exp(+-s_v/2)`` bitwise: LAPACK's eigh commutes with halving.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ import numpy as np
 from .checks import check_keys, check_real
 from .errors import ValidationError
 from .linalg import (
-    _exp_spectrum,
+    _eigh,
+    _exp_from_eigh,
     _frechet_apply,
-    _hermitian_exp,
+    _frechet_kernel,
     _hermitian_part,
+    _max_sup_norm,
     _metric_adjoint,
     as_complex_matrix,
     as_hermitian,
@@ -174,7 +178,7 @@ def _king_residual(rep, h, eta, w) -> MomentResidual:
         adj = _metric_adjoint(t, h[a.src], h[a.dst])
         blocks[a.src] = blocks[a.src] + w[a.name] * (adj @ t)
         blocks[a.dst] = blocks[a.dst] - w[a.name] * (t @ adj)
-    sup = max((sup_norm(b) for b in blocks.values()), default=0.0)
+    sup = _max_sup_norm(blocks.values())
     trace_sum = float(sum(np.trace(b).real for b in blocks.values()))
     return MomentResidual(blocks=blocks, sup=sup, trace_sum=trace_sum)
 
@@ -201,20 +205,35 @@ def kempf_ness_value(
     return _kempf_ness_value(rep, _check_displacement(rep, s), eta, w)
 
 
-def _kempf_ness_value(rep, s, eta, w) -> float:
+def _eigenpairs(s) -> list:
+    """``(vs, w, u)`` per matrix shape in the family ``s``, from one stacked
+    :func:`_eigh` over ``[[s_v for v in vs], [-s_v for v in vs]]``; ``-s_v``
+    is decomposed, since on degenerate spectra its eigenvectors are not
+    those of ``s_v``."""
+    out = []
+    for shape in dict.fromkeys(m.shape for m in s.values()):
+        vs = [v for v, m in s.items() if m.shape == shape]
+        stack = np.stack([s[v] for v in vs])
+        out.append((vs, *_eigh(np.stack([stack, -stack]))))
+    return out
+
+
+def _kempf_ness_value(rep, s, eta, w, eig=None) -> float:
     """Unchecked kernel of :func:`kempf_ness_value`: ``s`` holds Hermitian
-    blocks of the right sizes, ``eta`` and the weights ``w`` are validated."""
-    q = rep.quiver
-    half_pos = {v: _hermitian_exp(0.5 * s[v]) for v in q.vertices}
-    half_neg = {v: _hermitian_exp(-0.5 * s[v]) for v in q.vertices}
+    blocks of the right sizes, ``eta`` and the weights ``w`` are validated;
+    ``eig`` are the :func:`_eigenpairs` of ``s`` (computed when not given)."""
+    half = {}
+    for vs, ev, u in _eigenpairs(s) if eig is None else eig:
+        e = _exp_from_eigh(0.5 * ev, u)
+        half.update((v, (e[0][i], e[1][i])) for i, v in enumerate(vs))
     total = 0.0
-    for a in q.arrows:
+    for a in rep.quiver.arrows:
         t = rep.matrices[a.name]
         if t.size == 0:
             continue
-        m = half_pos[a.dst] @ t @ half_neg[a.src]
+        m = half[a.dst][0] @ t @ half[a.src][1]
         total += w[a.name] * float(np.linalg.norm(m) ** 2)
-    for v in q.vertices:
+    for v in rep.quiver.vertices:
         total += eta[v] * float(np.trace(s[v]).real)
     return total
 
@@ -243,16 +262,23 @@ def kempf_ness_gradient(
     return _kempf_ness_gradient(rep, _check_displacement(rep, s), eta, w)
 
 
-def _kempf_ness_gradient(rep, s, eta, w) -> dict[str, np.ndarray]:
+def _kempf_ness_gradient(rep, s, eta, w, spectra=None) -> dict[str, np.ndarray]:
     """Unchecked kernel of :func:`kempf_ness_gradient`, with the inputs of
-    :func:`_kempf_ness_value`."""
-    spectra = _spectra(rep, s)
+    :func:`_kempf_ness_value`; ``spectra`` are the :func:`_spectra` at ``s``."""
+    spectra = _spectra(_eigenpairs(s)) if spectra is None else spectra
     return {v: _gradient_block(rep, v, spectra, eta, w) for v in rep.quiver.vertices}
 
 
-def _spectra(rep, s) -> dict:
-    """Vertex -> the :func:`_exp_spectrum` pair of ``s_v`` and ``-s_v``."""
-    return {v: (_exp_spectrum(s[v]), _exp_spectrum(-s[v])) for v in rep.quiver.vertices}
+def _spectra(eig) -> dict:
+    """Vertex -> ``((exp(s_v), u, kernel), (exp(-s_v), u, kernel))``, with
+    the eigenvectors ``u`` and Frechet kernels of ``+-s_v``, from the
+    :func:`_eigenpairs` ``eig`` of ``s``."""
+    out = {}
+    for vs, w, u in eig:
+        e, k = _exp_from_eigh(w, u), _frechet_kernel(w)
+        for i, v in enumerate(vs):
+            out[v] = tuple((e[j][i], u[j][i], k[j][i]) for j in (0, 1))
+    return out
 
 
 def _gradient_block(rep, v, spectra, eta, w) -> np.ndarray:

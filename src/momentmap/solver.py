@@ -22,6 +22,11 @@ safeguards matter on hard instances:
   descent valleys flanked by exponentially steep walls); a damped-Newton
   rescue step suppresses the wall components before a stall is terminal.
 
+Each point is decomposed once: the functional at a trial reads its
+:func:`~momentmap.moment._eigenpairs`, which the gradient, metric and
+Hessian reuse if a line search accepts that trial (the last one it
+evaluated).  Family sup norms take one stacked SVD per shape.
+
 Termination:
 
 * ``Converged`` -- the re-evaluated residual sup-norm at ``exp(s)`` is
@@ -44,12 +49,12 @@ from .checks import check_int, check_real
 from .errors import MomentMapError, NumericError, SolverError, ValidationError
 # ``hermitian_exp`` is unused here but stays importable from this module.
 from .linalg import (
-    _eigh, _exp_spectrum, _hermitian_coords, _hermitian_exp, _hermitian_from_coords,
-    _hermitian_part, hermitian_basis, hermitian_exp, hermitian_part, sup_norm,
+    _eigh, _hermitian_coords, _hermitian_from_coords, _hermitian_part, _max_sup_norm,
+    hermitian_basis, hermitian_exp, hermitian_part, sup_norm,
 )
 from .moment import (
-    KahlerData, _gradient_block, _kempf_ness_gradient, _kempf_ness_value, _king_residual,
-    _spectra, _weights, zero_displacement,
+    KahlerData, _eigenpairs, _gradient_block, _kempf_ness_gradient, _kempf_ness_value,
+    _king_residual, _spectra, _weights, zero_displacement,
 )
 from .quiver import Representation, validate_eta
 
@@ -156,7 +161,7 @@ def _family_inner(x: Mapping[str, np.ndarray], y: Mapping[str, np.ndarray]) -> f
 
 
 def _family_sup(x: Mapping[str, np.ndarray]) -> float:
-    return max((sup_norm(m) for m in x.values()), default=0.0)
+    return _max_sup_norm(x.values())
 
 
 def extract_destabilizer(
@@ -234,12 +239,12 @@ def extract_destabilizer(
 _HESSIAN_STACK_ENTRIES = 1024
 
 
-def _finite_difference_hessian(rep, s, eta, weights, scale):
+def _finite_difference_hessian(rep, s, eta, weights, scale, base=None):
     """Hessian of the functional in the orthonormal Hermitian product basis:
     central differences ``(G(s + eps b) - G(s - eps b)) / (2 eps)``, with
     ``eps = 1e-4 * scale``, symmetrised.
 
-    The spectra of ``exp(+-s_v)`` are computed once.  The columns of a vertex
+    The spectra at ``s`` are ``base`` or computed once.  The columns of a vertex
     ``v`` are taken in chunks of ``max(1, 1024 // d_v**2)`` basis directions
     ``b``.  Per chunk, one stacked eigh over ``s_v + eps b`` and
     ``-(s_v + eps b)`` gives the + side's spectra, and stacked products its
@@ -253,13 +258,11 @@ def _finite_difference_hessian(rep, s, eta, weights, scale):
     eps = 1e-4 * scale
     ends = np.cumsum([rep.dims[v] ** 2 for v in q.vertices])
     rows = {v: slice(e - rep.dims[v] ** 2, e) for v, e in zip(q.vertices, ends)}
-    base = _spectra(rep, s)
+    base = _spectra(_eigenpairs(s)) if base is None else base
     hess = np.zeros((ends[-1], ends[-1]))
 
     def blocks(v, near, sv):
-        k = len(sv)
-        e, u, kernel = _exp_spectrum(np.concatenate([sv, -sv]))
-        spectra = {**base, v: ((e[:k], u[:k], kernel[:k]), (e[k:], u[k:], kernel[k:]))}
+        spectra = {**base, **_spectra(_eigenpairs({v: sv}))}
         return [_gradient_block(rep, x, spectra, eta, weights) for x in near]
 
     for v in q.vertices:
@@ -282,13 +285,13 @@ def _finite_difference_hessian(rep, s, eta, weights, scale):
     return 0.5 * (hess + hess.T)
 
 
-def _newton_direction(rep, s, eta, weights, grad, residual):
+def _newton_direction(rep, s, eta, weights, grad, residual, base=None):
     """Damped Newton step in basis coordinates; None if not a descent direction."""
     vertices = rep.quiver.vertices
     if not any(rep.dims[v] for v in vertices):
         return None, 0.0
     scale = max(1.0, _family_sup(s))
-    hess = _finite_difference_hessian(rep, s, eta, weights, scale)
+    hess = _finite_difference_hessian(rep, s, eta, weights, scale, base)
     lam = max(1e-10, residual)
     gvec = np.concatenate([_hermitian_coords(grad[v]) for v in vertices])
     try:
@@ -313,29 +316,31 @@ def _refine_by_residual(rep, s, eta, weights, opts, residual, metric, direction)
     itself is the reliable progress measure there.  Each step goes along the
     damped Newton direction, or steepest descent where that is not a descent
     direction; ``direction`` is the first one, when the caller already holds
-    it (``None`` computes it here).
+    it (``None`` computes it here).  A trial's :func:`_spectra` give its
+    metric and, once it is accepted, the gradient and Hessian there.
     """
     best_s, best_res, best_metric = s, residual, metric
-    trial_metric = None
+    spectra = trial = None
 
     def king_sup(point):
-        nonlocal trial_metric
-        trial_metric = {v: _hermitian_exp(point[v]) for v in point}
-        return _king_residual(rep, trial_metric, eta, weights).sup
+        nonlocal trial
+        trial = _spectra(_eigenpairs(point))
+        return _king_residual(rep, {v: trial[v][0][0] for v in point}, eta, weights).sup
 
     for _ in range(60):
         if best_res <= opts.tol:
             break
         if direction is None:
-            grad = _kempf_ness_gradient(rep, best_s, eta, weights)
-            direction, _ = _newton_direction(rep, best_s, eta, weights, grad, best_res)
+            grad = _kempf_ness_gradient(rep, best_s, eta, weights, spectra)
+            direction, _ = _newton_direction(rep, best_s, eta, weights, grad, best_res, spectra)
             if direction is None:
                 direction = {v: -grad[v] for v in rep.quiver.vertices}
         step = _line_search(king_sup, best_s, direction, 1.0, best_res, 0.0, 1e-8, strict=True)
         if step is None:
             break
         # the accepted trial is the last one evaluated
-        (best_s, best_res), best_metric = step, trial_metric
+        (best_s, best_res), spectra = step, trial
+        best_metric = {v: spectra[v][0][0] for v in best_s}
         direction = None
     return best_s, best_res, best_metric
 
@@ -432,18 +437,25 @@ def solve_metric(
     vertices = [v for v in rep.quiver.vertices]
 
     s = zero_displacement(rep)
+    last = (None, None)  # the point last evaluated, with its eigenpairs
+
+    def eigenpairs(point):
+        nonlocal last
+        if last[0] is not point:
+            last = (point, _eigenpairs(point))
+        return last[1]
 
     def functional(point):
-        return _kempf_ness_value(rep, point, eta, weights)
+        return _kempf_ness_value(rep, point, eta, weights, eigenpairs(point))
 
     def gradient_and_metric(point):
-        spectra = _spectra(rep, point)
-        grad = {v: _gradient_block(rep, v, spectra, eta, weights) for v in vertices}
-        return grad, {v: spectra[v][0][0] for v in vertices}
+        spectra = _spectra(eigenpairs(point))
+        grad = _kempf_ness_gradient(rep, point, eta, weights, spectra)
+        return grad, {v: spectra[v][0][0] for v in vertices}, spectra
 
     try:
         value = functional(s)
-        grad, metric = gradient_and_metric(s)
+        grad, metric, spectra = gradient_and_metric(s)
     except MomentMapError as exc:
         raise SolverError("initial evaluation failed", {"iteration": 0}) from exc
     if not np.isfinite(value):
@@ -487,7 +499,7 @@ def solve_metric(
         # the damped Newton step at s, computed at most once per iteration
         newton = None
         if use_newton:
-            newton = _newton_direction(rep, s, eta, weights, grad, residual)
+            newton = _newton_direction(rep, s, eta, weights, grad, residual, spectra)
             direction, deriv = newton
             if direction is None:
                 use_newton = False
@@ -526,7 +538,7 @@ def solve_metric(
             # as a rescue before concluding anything.
             if not use_newton:
                 if newton is None:
-                    newton = _newton_direction(rep, s, eta, weights, grad, residual)
+                    newton = _newton_direction(rep, s, eta, weights, grad, residual, spectra)
                 r_dir, r_deriv = newton
                 if r_dir is not None:
                     step = _line_search(functional, s, r_dir, 1.0, value, r_deriv)
@@ -560,7 +572,7 @@ def solve_metric(
                     history.append(HistoryRecord(iteration, value, residual))
                     return finish(SolveStatus.MAX_ITERS, residual, metric)
                 try:
-                    grad, _ = gradient_and_metric(s)
+                    grad, _, spectra = gradient_and_metric(s)
                 except MomentMapError as exc:
                     raise SolverError(
                         "gradient evaluation failed", {"iteration": iteration}
@@ -578,7 +590,7 @@ def solve_metric(
         prev_s, prev_grad = s, grad
         s, value = new_s, new_value
         try:
-            grad, metric = gradient_and_metric(s)
+            grad, metric, spectra = gradient_and_metric(s)
         except MomentMapError as exc:
             raise SolverError(
                 "gradient evaluation failed", {"iteration": iteration}

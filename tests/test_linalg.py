@@ -8,9 +8,13 @@ from momentmap import linalg
 from momentmap.errors import ValidationError
 from momentmap.linalg import (
     _INV_SQRT2,
+    _eigh,
+    _exp_from_eigh,
+    _frechet_kernel,
     _hermitian_coords,
     _hermitian_part,
     _hermitian_from_coords,
+    _max_sup_norm,
     as_complex_matrix,
     as_hermitian,
     as_positive_definite,
@@ -275,6 +279,60 @@ class TestHermitianPart:
             for a, g in zip(stack, got):
                 assert g.tobytes() == (0.5 * (a + a.conj().T)).tobytes()
                 assert _hermitian_part(a).tobytes() == g.tobytes()
+
+
+def spectral_cases(seed):
+    """Hermitian matrices, and their negatives, on which the eigensolver
+    identities are pinned: zero, integer diagonals with repeated entries,
+    repeated spectra in a random unitary frame, and random matrices of
+    dimension 1 to 8 at three scales."""
+    rng = np.random.default_rng(seed)
+    cases = [np.zeros((d, d), dtype=np.complex128) for d in (1, 2, 4)]
+    cases += [np.diag(w).astype(np.complex128) for w in ([3.0], [1, 1, -2, 3, 3], [2, 2, 2, 2])]
+    for d in (2, 3, 4, 6):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        w = rng.integers(-1, 2, d).astype(float)
+        cases.append(_hermitian_part((q * w) @ q.conj().T))
+    for d in range(1, 9):
+        cases += [random_hermitian(rng, d, scale) for scale in (0.1, 1.0, 20.0)]
+    return cases + [-s for s in cases]
+
+
+class TestEighIdentities:
+    """The stacked spectral evaluation of the Kempf-Ness functional rests on
+    these properties of LAPACK's Hermitian eigensolver; a numpy or LAPACK
+    upgrade that breaks one fails here by name."""
+
+    def test_halving_commutes_with_eigh(self):
+        # Halved as floats, so that every zero keeps its sign: numpy's complex
+        # product ``0.5 * s`` can turn a real part -0.0 into +0.0, and the
+        # Householder reflector reads that sign.
+        for s in spectral_cases(20):
+            w, u = _eigh(s)
+            half_w, half_u = _eigh((0.5 * s.view(np.float64)).view(np.complex128))
+            assert half_w.tobytes() == (0.5 * w).tobytes()
+            assert half_u.tobytes() == u.tobytes()
+
+    def test_stacked_eigh_is_per_slice(self):
+        cases = spectral_cases(21)
+        for d in sorted({s.shape[0] for s in cases}):
+            stack = np.stack([s for s in cases if s.shape[0] == d])
+            w, u = _eigh(stack)
+            exp, kernel = _exp_from_eigh(w, u), _frechet_kernel(w)
+            for i, s in enumerate(stack):
+                wi, ui = _eigh(s)
+                assert (wi.tobytes(), ui.tobytes()) == (w[i].tobytes(), u[i].tobytes())
+                assert _exp_from_eigh(wi, ui).tobytes() == exp[i].tobytes()
+                assert _frechet_kernel(wi).tobytes() == kernel[i].tobytes()
+
+    def test_stacked_sup_norm_is_per_matrix(self):
+        rng = np.random.default_rng(22)
+        mats = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for shape in [(3, 3), (0, 0), (2, 5), (3, 3), (1, 1), (5, 2), (3, 3)]]
+        mats.append([[1.0, 2.0], [3.0, 4.0]])  # a real nested list, coerced
+        for k in range(len(mats) + 1):
+            want = max((sup_norm(m) for m in mats[:k]), default=0.0)
+            assert np.float64(_max_sup_norm(mats[:k])).tobytes() == np.float64(want).tobytes()
 
 
 class TestHermitianBasis:

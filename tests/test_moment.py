@@ -9,8 +9,11 @@ from momentmap.errors import ValidationError
 from momentmap.linalg import _frechet_exp, _hermitian_exp, hermitian_basis, hermitian_exp, sup_norm
 from momentmap.moment import (
     KahlerData,
+    _eigenpairs,
     _kempf_ness_gradient,
+    _kempf_ness_value,
     _king_residual,
+    _spectra,
     gauge_variation,
     hamiltonian_projector,
     hamiltonian_trivial,
@@ -22,6 +25,7 @@ from momentmap.moment import (
     zero_displacement,
 )
 from momentmap.quiver import Arrow, Quiver, Representation, direct_sum, random_representation
+from momentmap.solver import _family_sup
 
 
 def rand_herm(rng, n, scale=1.0):
@@ -98,6 +102,77 @@ def reference_gradient(rep, s, eta, w):
         )
         grad[v] = 0.5 * (g + g.conj().T)
     return grad
+
+
+def random_families(count=16):
+    """Random points on a quiver with a zero-dimensional vertex, 1x1
+    vertices, mixed dimensions, loops and parallel arrows: representation,
+    displacement family, eta and weights.  Every other family has repeated
+    eigenvalues +-scale in a random frame, where the spectrum of ``-s_v`` is
+    not the reversed spectrum of ``s_v``."""
+    q = Quiver(
+        ("a", "b", "c", "d", "e", "z"),
+        (Arrow("l", "a", "a"), Arrow("p1", "a", "b"), Arrow("p2", "a", "b"),
+         Arrow("r", "b", "c"), Arrow("m", "c", "d"), Arrow("k", "d", "d"),
+         Arrow("n", "d", "e"), Arrow("o", "e", "a"), Arrow("u", "z", "a")),
+    )
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        dims = {"a": 3, "b": 1, "c": 2, "d": 1, "e": 3, "z": 0}
+        dims.update(a=int(rng.integers(1, 5)), c=int(rng.integers(1, 5)))
+        rep = random_representation(q, dims, seed=seed)
+        scale = (0.1, 1.0, 4.0)[seed % 3]
+        s = {v: rand_herm(rng, dims[v], scale) for v in q.vertices}
+        if seed % 2:
+            for v in q.vertices:
+                u = rand_unitary(rng, dims[v])
+                s[v] = 0.5 * ((u * rng.choice([-scale, scale], dims[v])) @ u.conj().T)
+                s[v] = s[v] + s[v].conj().T
+        eta = {v: float(rng.standard_normal()) for v in q.vertices}
+        weights = {a.name: float(rng.uniform(0.5, 2.0)) for a in q.arrows}
+        yield rep, s, eta, weights
+
+
+def reference_value(rep, s, eta, w):
+    """The functional with each exponential on its own eigendecomposition."""
+    total = 0.0
+    for a in rep.quiver.arrows:
+        t = rep.matrices[a.name]
+        if t.size:
+            m = _hermitian_exp(0.5 * s[a.dst]) @ t @ _hermitian_exp(-0.5 * s[a.src])
+            total += w[a.name] * float(np.linalg.norm(m) ** 2)
+    for v in rep.quiver.vertices:
+        total += eta[v] * float(np.trace(s[v]).real)
+    return total
+
+
+class TestStackedKernelsMatchPerVertex:
+    """One stacked eigh per vertex dimension and one stacked SVD per shape
+    give, bitwise, what a decomposition per vertex and sign gives."""
+
+    def test_value_gradient_and_metric(self):
+        for rep, s, eta, w in random_families():
+            eig = _eigenpairs(s)
+            assert len(eig) == len(set(rep.dims.values()))
+            value = _kempf_ness_value(rep, s, eta, w, eig)
+            assert np.float64(value).tobytes() == np.float64(reference_value(rep, s, eta, w)).tobytes()
+            spectra = _spectra(eig)
+            got = _kempf_ness_gradient(rep, s, eta, w, spectra)
+            want = reference_gradient(rep, s, eta, w)
+            for v in rep.quiver.vertices:
+                assert got[v].tobytes() == want[v].tobytes()
+                assert spectra[v][0][0].tobytes() == _hermitian_exp(s[v]).tobytes()
+                assert spectra[v][1][0].tobytes() == _hermitian_exp(-s[v]).tobytes()
+
+    def test_residual_and_family_sup_norms(self):
+        for rep, s, eta, w in random_families():
+            metric = {v: _hermitian_exp(s[v]) for v in rep.quiver.vertices}
+            res = _king_residual(rep, metric, eta, w)
+            want = max(sup_norm(b) for b in res.blocks.values())
+            assert np.float64(res.sup).tobytes() == np.float64(want).tobytes()
+            for family in (s, res.blocks, _kempf_ness_gradient(rep, s, eta, w)):
+                want = max(sup_norm(m) for m in family.values())
+                assert np.float64(_family_sup(family)).tobytes() == np.float64(want).tobytes()
 
 
 class TestKingResidual:

@@ -12,8 +12,10 @@ from momentmap import linalg, solver
 from momentmap.errors import NumericError, ValidationError
 from momentmap.linalg import hermitian_basis, hermitian_log, sup_norm
 from momentmap.moment import (
+    _eigenpairs,
     _kempf_ness_gradient,
     _kempf_ness_value,
+    _spectra,
     kempf_ness_value,
     king_residual,
 )
@@ -124,6 +126,19 @@ def count_eigh(monkeypatch):
         return eigh(h)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def count_calls(monkeypatch, name):
+    """List that grows by one per call of ``solver.<name>`` from now on."""
+    calls = []
+    function = getattr(solver, name)
+
+    def counted(*args):
+        calls.append(1)
+        return function(*args)
+
+    monkeypatch.setattr(solver, name, counted)
     return calls
 
 
@@ -285,14 +300,20 @@ class TestNewtonEndgame:
             assert got[v].tobytes() == want[v].tobytes()
 
     def test_hessian_eigendecompositions(self, monkeypatch):
-        # One eigh per vertex and sign at s, and one stacked eigh per side
-        # and chunk of columns; a vertex of dimension 4 is a single chunk.
-        # Re-evaluating the full gradient per column takes 1,152 on this
-        # quiver.
+        # One stacked eigh over +-s_v at s (the three vertices share one
+        # dimension), none when the caller passes those spectra, and one
+        # stacked eigh per side and chunk of columns; a vertex of dimension 4
+        # is a single chunk.  Re-evaluating the full gradient per column
+        # takes 2 * 48 on this quiver.
         rep, s = cycle_case()
+        eta, weights = zero_eta(rep), unit_weights(rep)
+        base = _spectra(_eigenpairs(s))
         calls = count_eigh(monkeypatch)
-        solver._finite_difference_hessian(rep, s, zero_eta(rep), unit_weights(rep), 1.0)
-        assert len(calls) == 2 * 3 + 2 * 3
+        fresh = solver._finite_difference_hessian(rep, s, eta, weights, 1.0)
+        assert len(calls) == 1 + 2 * 3
+        given = solver._finite_difference_hessian(rep, s, eta, weights, 1.0, base)
+        assert len(calls) == 1 + 2 * 3 + 2 * 3
+        assert given.tobytes() == fresh.tobytes()
 
     def test_hessian_bitwise_equal_across_chunks(self, monkeypatch):
         # The 8x8 loop's 64 columns take four chunks of 16, its neighbour's
@@ -303,7 +324,7 @@ class TestNewtonEndgame:
         want, _ = reference_hessian(rep, s, eta, weights, scale)
         calls = count_eigh(monkeypatch)
         got = solver._finite_difference_hessian(rep, s, eta, weights, scale)
-        assert len(calls) == 2 * 2 + 2 * (4 + 1)
+        assert len(calls) == 2 + 2 * (4 + 1)
         assert got.tobytes() == want.tobytes()
 
     def test_hessian_transient_memory_is_bounded(self):
@@ -330,7 +351,9 @@ class TestNewtonEndgame:
         got = solve_metric(rep, zero_eta(rep), opts=opts)
         monkeypatch.setattr(
             solver, "_finite_difference_hessian",
-            lambda *args: reference_hessian(*args)[0],
+            lambda rep, s, eta, weights, scale, base: reference_hessian(
+                rep, s, eta, weights, scale
+            )[0],
         )
         want = solve_metric(rep, zero_eta(rep), opts=opts)
         assert got.status is want.status
@@ -472,10 +495,12 @@ def outcome_digest(out, vertices):
 class TestSupNormsWhereRead:
     # Before the sup norms of the gradient and the last step were taken only
     # where they are read, these solves made 486 and 390 sup_norm calls; the
-    # digests are the outcomes of that code.
+    # digests are the outcomes of that code.  Counted as SVDs, with the
+    # residual's, they made 378 and 314 with one SVD per vertex; with one
+    # stacked SVD per shape the three 4x4 vertices of cycle444 share one.
     CASES = {
-        "cycle444": (258, "903833cbb6b17951760ab64dea293116fbf82f7f7f1b57a20bb8ba757b4ac5ac"),
-        "jordan5": (235, "5da54e669c84cf23ecc4b4bd2a0eec709df15750524d946ec27759e42724f8ea"),
+        "cycle444": (126, "903833cbb6b17951760ab64dea293116fbf82f7f7f1b57a20bb8ba757b4ac5ac"),
+        "jordan5": (314, "5da54e669c84cf23ecc4b4bd2a0eec709df15750524d946ec27759e42724f8ea"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -483,16 +508,76 @@ class TestSupNormsWhereRead:
         calls, digest = self.CASES[case]
         rep = cycle_case()[0] if case == "cycle444" else loop_rep(np.diag(np.ones(4), 1))
         counted = []
-        sup = solver.sup_norm
+        svd = np.linalg.svd
 
-        def counting(a):
+        def counting(*args, **kwargs):
             counted.append(1)
-            return sup(a)
+            return svd(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "sup_norm", counting)
+        monkeypatch.setattr(np.linalg, "svd", counting)
         out = solve_metric(rep, zero_eta(rep), opts=SolveOptions(max_iters=300))
         assert outcome_digest(out, rep.quiver.vertices) == digest
         assert len(counted) == calls
+
+
+def kronecker_case():
+    """The Kronecker quiver with three arrows, dimensions (2, 3), stable at
+    eta = (3, -2)."""
+    q = Quiver(("1", "2"), tuple(Arrow(f"k{i}", "1", "2") for i in range(3)))
+    return random_representation(q, {"1": 2, "2": 3}, seed=3), {"1": 3.0, "2": -2.0}
+
+
+class TestOneSpectralEvaluationPerPoint:
+    """A King solve decomposes each point once, with one stacked eigh per
+    vertex dimension, and reads the functional, gradient, metric and Newton
+    Hessian at that point off it."""
+
+    @pytest.mark.parametrize("case, groups", [("cycle444", 1), ("kronecker23", 2)])
+    def test_one_eigh_per_dimension_and_evaluation(self, monkeypatch, case, groups):
+        if case == "cycle444":
+            rep = cycle_case()[0]
+            eta = zero_eta(rep)
+        else:
+            rep, eta = kronecker_case()
+        calls = count_eigh(monkeypatch)
+        points = []  # (point, its eigenpairs, eigh calls after them)
+        read = []  # eigenpairs read by functional evaluations
+        eigenpairs, value, gradient = (
+            solver._eigenpairs, solver._kempf_ness_value, solver._kempf_ness_gradient
+        )
+
+        def decomposed(s):
+            before = len(calls)
+            eig = eigenpairs(s)
+            if all(m.ndim == 2 for m in s.values()):  # not a Hessian column stack
+                assert len(calls) - before == groups
+                points.append((s, eig, len(calls)))
+            return eig
+
+        def valued(rep, s, eta, w, eig=None):
+            # a functional evaluation reads the fresh eigenpairs of its point
+            assert points[-1][0] is s and points[-1][1] is eig and points[-1][2] == len(calls)
+            assert not any(eig is seen for seen in read)
+            read.append(eig)
+            return value(rep, s, eta, w, eig)
+
+        def differentiated(rep, s, eta, w, spectra=None):
+            # the gradient at the point decomposed last, with no eigh since
+            assert spectra is not None
+            assert points[-1][0] is s and points[-1][2] == len(calls)
+            return gradient(rep, s, eta, w, spectra)
+
+        polished = count_calls(monkeypatch, "_refine_by_residual")
+        monkeypatch.setattr(solver, "_eigenpairs", decomposed)
+        monkeypatch.setattr(solver, "_kempf_ness_value", valued)
+        monkeypatch.setattr(solver, "_kempf_ness_gradient", differentiated)
+        out = solve_metric(rep, eta, opts=SolveOptions(max_iters=300))
+        assert out.status is SolveStatus.CONVERGED
+        assert len(read) > len(out.history) > 10
+        # Each point is decomposed once, but for the polished iterate, whose
+        # functional is evaluated again after the polish.
+        again = len(points) - len({id(s) for s, _, _ in points})
+        assert again <= len(polished) == 1
 
 
 class TestProgrammingErrorsSurface:
@@ -534,10 +619,11 @@ class TestProgrammingErrorsSurface:
         assert len(calls) == good_calls + 1
 
     def test_validation_error_leaves_the_residual_polish(self, monkeypatch):
-        def broken(h):
+        def broken(s):
             raise ValidationError("broken kernel")
 
-        monkeypatch.setattr(solver, "_hermitian_exp", broken)
+        # every polish trial is one spectral evaluation
+        monkeypatch.setattr(solver, "_eigenpairs", broken)
         rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
         s = {"v": np.zeros((2, 2), dtype=np.complex128)}
         eta, weights = {"v": 0.0}, {"l0": 1.0}
