@@ -1,8 +1,8 @@
 """Dense complex linear-algebra primitives shared by all solvers.
 
 Validated constructors for complex/Hermitian/positive-definite matrices,
-spectral exponential and logarithm, metric-dependent adjoints, and the
-directional derivative of the Hermitian matrix exponential.
+the spectral exponential, metric-dependent adjoints, and the directional
+derivative of the Hermitian matrix exponential.
 
 Conventions
 -----------
@@ -22,11 +22,8 @@ __all__ = [
     "as_hermitian",
     "as_positive_definite",
     "sup_norm",
-    "frobenius_norm",
     "hermitian_part",
     "hermitian_exp",
-    "hermitian_log",
-    "metric_adjoint",
     "frechet_exp",
     "hermitian_basis",
 ]
@@ -90,12 +87,6 @@ def _max_sup_norm(mats) -> float:
         idx = [i for i, m in enumerate(mats) if m.shape == shape]
         norms[idx] = np.linalg.svd(np.stack([mats[i] for i in idx]), compute_uv=False)[:, 0]
     return max(norms.tolist(), default=0.0)
-
-
-def frobenius_norm(a) -> float:
-    """Frobenius norm; 0.0 for empty matrices."""
-    arr = np.asarray(a, dtype=np.complex128)
-    return float(np.linalg.norm(arr)) if arr.size else 0.0
 
 
 def hermitian_part(a) -> np.ndarray:
@@ -182,54 +173,12 @@ def _exp_from_eigh(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _hermitian_part((u * ew[..., None, :]) @ u.conj().swapaxes(-1, -2))
 
 
-def hermitian_log(h) -> np.ndarray:
-    """Matrix logarithm of a Hermitian positive-definite matrix.
-
-    Inverse of :func:`hermitian_exp` on its range to ~1e-10 relative.
-
-    Raises
-    ------
-    ValidationError
-        If ``h`` has a non-positive eigenvalue.
-    NumericError
-        If the eigendecomposition fails to converge.
-    """
-    pd = as_positive_definite(h, name="metric")
-    if pd.shape[0] == 0:
-        return pd
-    w, u = _eigh(pd)
-    out = (u * np.log(w)) @ u.conj().T
-    return _hermitian_part(out)
-
-
-def metric_adjoint(t, h_src, h_dst) -> np.ndarray:
-    """Adjoint of ``t`` with respect to vertex metrics: ``h_src^-1 t^dagger h_dst``.
-
-    For ``t`` of shape (d_dst, d_src) and metrics ``h_src`` (d_src square),
-    ``h_dst`` (d_dst square), the result has shape (d_src, d_dst) and satisfies
-    ``<t x, y>_{h_dst} = <x, adj y>_{h_src}`` with ``<x,y>_h = y^dagger h x``.
-
-    Raises
-    ------
-    ValidationError
-        On dimension mismatch, or if either metric is not Hermitian
-        positive-definite.
-    """
-    tm = as_complex_matrix(t, name="arrow matrix")
-    hs = as_positive_definite(h_src, name="source metric")
-    hd = as_positive_definite(h_dst, name="target metric")
-    d_dst, d_src = tm.shape
-    if hs.shape != (d_src, d_src) or hd.shape != (d_dst, d_dst):
-        raise ValidationError(
-            f"metric_adjoint: shape mismatch, T {tm.shape}, "
-            f"h_src {hs.shape}, h_dst {hd.shape}"
-        )
-    return _metric_adjoint(tm, hs, hd)
-
-
 def _metric_adjoint(t: np.ndarray, h_src: np.ndarray, h_dst: np.ndarray) -> np.ndarray:
-    """Unchecked kernel of :func:`metric_adjoint`: the metrics are Hermitian
-    positive-definite of the sizes ``t`` asks for (empty sizes too)."""
+    """Adjoint of ``t`` with respect to vertex metrics, ``h_src^-1 t^dagger
+    h_dst``: for ``t`` of shape (d_dst, d_src) it has shape (d_src, d_dst) and
+    satisfies ``<t x, y>_{h_dst} = <x, adj y>_{h_src}`` with ``<x,y>_h =
+    y^dagger h x``.  Unchecked: the metrics are Hermitian positive-definite
+    of the sizes ``t`` asks for (empty sizes too)."""
     return np.linalg.solve(h_src, t.conj().T @ h_dst)
 
 

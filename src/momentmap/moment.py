@@ -22,6 +22,9 @@ trace pairing on Hermitian ``s``); its eta-term sign is fixed by that
 criticality requirement.  Both, and the metric ``exp(s)``, are read off one
 stacked eigh per vertex dimension (:func:`_eigenpairs`), whose eigenvalues
 halved give ``exp(+-s_v/2)`` bitwise: LAPACK's eigh commutes with halving.
+A :class:`KingPoint` holds one family ``s`` and computes that decomposition,
+the functional, the metric, the gradient and the residual each on its first
+read, so whoever reads them at one point decomposes it once.
 """
 
 from __future__ import annotations
@@ -202,40 +205,7 @@ def kempf_ness_value(
     q = rep.quiver
     w = _weights(q, kahler)
     eta = validate_eta(q, eta)
-    return _kempf_ness_value(rep, _check_displacement(rep, s), eta, w)
-
-
-def _eigenpairs(s) -> list:
-    """``(vs, w, u)`` per matrix shape in the family ``s``, from one stacked
-    :func:`_eigh` over ``[[s_v for v in vs], [-s_v for v in vs]]``; ``-s_v``
-    is decomposed, since on degenerate spectra its eigenvectors are not
-    those of ``s_v``."""
-    out = []
-    for shape in dict.fromkeys(m.shape for m in s.values()):
-        vs = [v for v, m in s.items() if m.shape == shape]
-        stack = np.stack([s[v] for v in vs])
-        out.append((vs, *_eigh(np.stack([stack, -stack]))))
-    return out
-
-
-def _kempf_ness_value(rep, s, eta, w, eig=None) -> float:
-    """Unchecked kernel of :func:`kempf_ness_value`: ``s`` holds Hermitian
-    blocks of the right sizes, ``eta`` and the weights ``w`` are validated;
-    ``eig`` are the :func:`_eigenpairs` of ``s`` (computed when not given)."""
-    half = {}
-    for vs, ev, u in _eigenpairs(s) if eig is None else eig:
-        e = _exp_from_eigh(0.5 * ev, u)
-        half.update((v, (e[0][i], e[1][i])) for i, v in enumerate(vs))
-    total = 0.0
-    for a in rep.quiver.arrows:
-        t = rep.matrices[a.name]
-        if t.size == 0:
-            continue
-        m = half[a.dst][0] @ t @ half[a.src][1]
-        total += w[a.name] * float(np.linalg.norm(m) ** 2)
-    for v in rep.quiver.vertices:
-        total += eta[v] * float(np.trace(s[v]).real)
-    return total
+    return KingPoint(rep, eta, w, _check_displacement(rep, s)).value
 
 
 def kempf_ness_gradient(
@@ -259,14 +229,20 @@ def kempf_ness_gradient(
     q = rep.quiver
     w = _weights(q, kahler)
     eta = validate_eta(q, eta)
-    return _kempf_ness_gradient(rep, _check_displacement(rep, s), eta, w)
+    return KingPoint(rep, eta, w, _check_displacement(rep, s)).grad
 
 
-def _kempf_ness_gradient(rep, s, eta, w, spectra=None) -> dict[str, np.ndarray]:
-    """Unchecked kernel of :func:`kempf_ness_gradient`, with the inputs of
-    :func:`_kempf_ness_value`; ``spectra`` are the :func:`_spectra` at ``s``."""
-    spectra = _spectra(_eigenpairs(s)) if spectra is None else spectra
-    return {v: _gradient_block(rep, v, spectra, eta, w) for v in rep.quiver.vertices}
+def _eigenpairs(s) -> list:
+    """``(vs, w, u)`` per matrix shape in the family ``s``, from one stacked
+    :func:`_eigh` over ``[[s_v for v in vs], [-s_v for v in vs]]``; ``-s_v``
+    is decomposed, since on degenerate spectra its eigenvectors are not
+    those of ``s_v``."""
+    out = []
+    for shape in dict.fromkeys(m.shape for m in s.values()):
+        vs = [v for v, m in s.items() if m.shape == shape]
+        stack = np.stack([s[v] for v in vs])
+        out.append((vs, *_eigh(np.stack([stack, -stack]))))
+    return out
 
 
 def _spectra(eig) -> dict:
@@ -279,6 +255,73 @@ def _spectra(eig) -> dict:
         for i, v in enumerate(vs):
             out[v] = tuple((e[j][i], u[j][i], k[j][i]) for j in (0, 1))
     return out
+
+
+class _lazy:
+    """``functools.cached_property`` without the lock that it takes on each
+    first read before Python 3.12."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class KingPoint:
+    """A displacement family ``s`` with its :func:`_eigenpairs` ``eig``,
+    functional ``value``, :func:`_spectra`, ``metric`` ``exp(s)``, gradient
+    ``grad`` and residual sup norm ``residual``, each computed on first read.
+    Unchecked: ``s`` holds Hermitian blocks of the sizes of ``rep``; ``eta``
+    and the arrow weights are validated."""
+
+    def __init__(self, rep: Representation, eta, weights, s):
+        self.rep, self.eta, self.weights, self.s = rep, eta, weights, s
+
+    @_lazy
+    def eig(self) -> list:
+        return _eigenpairs(self.s)
+
+    @_lazy
+    def value(self) -> float:
+        """:func:`kempf_ness_value`, with ``exp(+-s_v/2)`` from the halved
+        eigenvalues of ``eig``."""
+        rep, s, eta, w = self.rep, self.s, self.eta, self.weights
+        half = {}
+        for vs, ev, u in self.eig:
+            e = _exp_from_eigh(0.5 * ev, u)
+            half.update((v, (e[0][i], e[1][i])) for i, v in enumerate(vs))
+        total = 0.0
+        for a in rep.quiver.arrows:
+            t = rep.matrices[a.name]
+            if t.size == 0:
+                continue
+            m = half[a.dst][0] @ t @ half[a.src][1]
+            total += w[a.name] * float(np.linalg.norm(m) ** 2)
+        for v in rep.quiver.vertices:
+            total += eta[v] * float(np.trace(s[v]).real)
+        return total
+
+    @_lazy
+    def spectra(self) -> dict:
+        return _spectra(self.eig)
+
+    @_lazy
+    def metric(self) -> dict[str, np.ndarray]:
+        return {v: self.spectra[v][0][0] for v in self.rep.quiver.vertices}
+
+    @_lazy
+    def grad(self) -> dict[str, np.ndarray]:
+        """:func:`kempf_ness_gradient`, one :func:`_gradient_block` per vertex."""
+        rep, spectra, eta, w = self.rep, self.spectra, self.eta, self.weights
+        return {v: _gradient_block(rep, v, spectra, eta, w) for v in rep.quiver.vertices}
+
+    @_lazy
+    def residual(self) -> float:
+        return _king_residual(self.rep, self.metric, self.eta, self.weights).sup
 
 
 def _gradient_block(rep, v, spectra, eta, w) -> np.ndarray:

@@ -22,10 +22,12 @@ safeguards matter on hard instances:
   descent valleys flanked by exponentially steep walls); a damped-Newton
   rescue step suppresses the wall components before a stall is terminal.
 
-Each point is decomposed once: the functional at a trial reads its
-:func:`~momentmap.moment._eigenpairs`, which the gradient, metric and
-Hessian reuse if a line search accepts that trial (the last one it
-evaluated).  Family sup norms take one stacked SVD per shape.
+Every step, trial and iterate is a :class:`~momentmap.moment.KingPoint`,
+which decomposes its family once and computes the functional, gradient,
+metric, residual and the Hessian's base spectra from that on first read; a
+line search returns its accepted trial, so the next iteration reads what
+the search already computed there.  Family sup norms take one stacked SVD
+per shape.
 
 Termination:
 
@@ -50,11 +52,11 @@ from .errors import MomentMapError, NumericError, SolverError, ValidationError
 # ``hermitian_exp`` is unused here but stays importable from this module.
 from .linalg import (
     _eigh, _hermitian_coords, _hermitian_from_coords, _hermitian_part, _max_sup_norm,
-    hermitian_basis, hermitian_exp, hermitian_part, sup_norm,
+    hermitian_basis, hermitian_exp, sup_norm,
 )
 from .moment import (
-    KahlerData, _eigenpairs, _gradient_block, _kempf_ness_gradient, _kempf_ness_value,
-    _king_residual, _spectra, _weights, zero_displacement,
+    KahlerData, KingPoint, _check_displacement, _eigenpairs, _gradient_block, _spectra,
+    _weights, zero_displacement,
 )
 from .quiver import Representation, validate_eta
 
@@ -172,17 +174,24 @@ def extract_destabilizer(
     """Read a destabilizing-subspace candidate off the final displacement
     family ``s`` of a divergent flow.
 
-    ``s`` is normalized to unit operator norm and its eigenvalues are pooled
+    ``s`` must be a Hermitian family of the representation's dimensions.  It
+    is normalized to unit operator norm and its eigenvalues are pooled
     across vertices; the split is taken below the midpoint of the largest gap
     in the pooled spectrum (below the median eigenvalue if all gaps agree to
     1e-9).  Requires ``max_v ||s_v|| >= 1``; a failed eigendecomposition is
     a :class:`NumericError`.
     """
     eta = validate_eta(rep.quiver, eta)
+    return _extract_destabilizer(_check_displacement(rep, s), rep, eta)
+
+
+def _extract_destabilizer(s, rep, eta) -> DestabilizerCandidate:
+    """Unchecked kernel of :func:`extract_destabilizer`: ``s`` holds Hermitian
+    blocks of the right sizes and ``eta`` is validated."""
     norm = _family_sup(s)
     if norm < 1.0:
         raise ValidationError("extract_destabilizer: displacement has ||s|| < 1")
-    sigma = {v: np.asarray(s[v]) / norm for v in rep.quiver.vertices}
+    sigma = {v: s[v] / norm for v in rep.quiver.vertices}
 
     eigen = {}
     pooled = []
@@ -190,7 +199,7 @@ def extract_destabilizer(
         if sigma[v].size == 0:
             eigen[v] = (np.zeros(0), np.zeros((0, 0), dtype=np.complex128))
             continue
-        w, u = _eigh(hermitian_part(sigma[v]))
+        w, u = _eigh(_hermitian_part(sigma[v]))
         eigen[v] = (w, u)
         pooled.extend(w.tolist())
     pooled = np.sort(np.asarray(pooled))
@@ -239,12 +248,12 @@ def extract_destabilizer(
 _HESSIAN_STACK_ENTRIES = 1024
 
 
-def _finite_difference_hessian(rep, s, eta, weights, scale, base=None):
-    """Hessian of the functional in the orthonormal Hermitian product basis:
-    central differences ``(G(s + eps b) - G(s - eps b)) / (2 eps)``, with
-    ``eps = 1e-4 * scale``, symmetrised.
+def _finite_difference_hessian(point, scale):
+    """Hessian of the functional at ``point`` in the orthonormal Hermitian
+    product basis: central differences ``(G(s + eps b) - G(s - eps b)) /
+    (2 eps)``, with ``eps = 1e-4 * scale``, symmetrised.
 
-    The spectra at ``s`` are ``base`` or computed once.  The columns of a vertex
+    The spectra at ``s`` are the point's.  The columns of a vertex
     ``v`` are taken in chunks of ``max(1, 1024 // d_v**2)`` basis directions
     ``b``.  Per chunk, one stacked eigh over ``s_v + eps b`` and
     ``-(s_v + eps b)`` gives the + side's spectra, and stacked products its
@@ -254,16 +263,16 @@ def _finite_difference_hessian(rep, s, eta, weights, scale, base=None):
     the same LAPACK/BLAS call or elementwise operation as the per-column loop
     that re-evaluates the full gradient, so the result is bitwise equal to it.
     """
+    rep, s = point.rep, point.s
     q = rep.quiver
     eps = 1e-4 * scale
     ends = np.cumsum([rep.dims[v] ** 2 for v in q.vertices])
     rows = {v: slice(e - rep.dims[v] ** 2, e) for v, e in zip(q.vertices, ends)}
-    base = _spectra(_eigenpairs(s)) if base is None else base
     hess = np.zeros((ends[-1], ends[-1]))
 
     def blocks(v, near, sv):
-        spectra = {**base, **_spectra(_eigenpairs({v: sv}))}
-        return [_gradient_block(rep, x, spectra, eta, weights) for x in near]
+        spectra = {**point.spectra, **_spectra(_eigenpairs({v: sv}))}
+        return [_gradient_block(rep, x, spectra, point.eta, point.weights) for x in near]
 
     for v in q.vertices:
         d = rep.dims[v]
@@ -285,15 +294,17 @@ def _finite_difference_hessian(rep, s, eta, weights, scale, base=None):
     return 0.5 * (hess + hess.T)
 
 
-def _newton_direction(rep, s, eta, weights, grad, residual, base=None):
-    """Damped Newton step in basis coordinates; None if not a descent direction."""
+def _newton_direction(point):
+    """Damped Newton step at ``point``, damped by its residual, in basis
+    coordinates; None if not a descent direction."""
+    rep = point.rep
     vertices = rep.quiver.vertices
     if not any(rep.dims[v] for v in vertices):
         return None, 0.0
-    scale = max(1.0, _family_sup(s))
-    hess = _finite_difference_hessian(rep, s, eta, weights, scale, base)
-    lam = max(1e-10, residual)
-    gvec = np.concatenate([_hermitian_coords(grad[v]) for v in vertices])
+    scale = max(1.0, _family_sup(point.s))
+    hess = _finite_difference_hessian(point, scale)
+    lam = max(1e-10, point.residual)
+    gvec = np.concatenate([_hermitian_coords(point.grad[v]) for v in vertices])
     try:
         delta = np.linalg.solve(hess + lam * np.eye(len(gvec)), -gvec)
     except np.linalg.LinAlgError:
@@ -306,9 +317,9 @@ def _newton_direction(rep, s, eta, weights, grad, residual, base=None):
     return direction, slope
 
 
-def _refine_by_residual(rep, s, eta, weights, opts, residual, metric, direction):
+def _refine_by_residual(point, tol, direction):
     """Endgame polish: damped Newton steps accepted iff the King residual
-    strictly decreases.
+    strictly decreases; returns the last accepted point (``point`` if none).
 
     Near the minimum the functional's decrease per step falls below its own
     floating-point resolution long before the residual reaches ``tol``, so
@@ -316,33 +327,20 @@ def _refine_by_residual(rep, s, eta, weights, opts, residual, metric, direction)
     itself is the reliable progress measure there.  Each step goes along the
     damped Newton direction, or steepest descent where that is not a descent
     direction; ``direction`` is the first one, when the caller already holds
-    it (``None`` computes it here).  A trial's :func:`_spectra` give its
-    metric and, once it is accepted, the gradient and Hessian there.
+    it (``None`` computes it here).
     """
-    best_s, best_res, best_metric = s, residual, metric
-    spectra = trial = None
-
-    def king_sup(point):
-        nonlocal trial
-        trial = _spectra(_eigenpairs(point))
-        return _king_residual(rep, {v: trial[v][0][0] for v in point}, eta, weights).sup
-
     for _ in range(60):
-        if best_res <= opts.tol:
+        if point.residual <= tol:
             break
         if direction is None:
-            grad = _kempf_ness_gradient(rep, best_s, eta, weights, spectra)
-            direction, _ = _newton_direction(rep, best_s, eta, weights, grad, best_res, spectra)
+            direction, _ = _newton_direction(point)
             if direction is None:
-                direction = {v: -grad[v] for v in rep.quiver.vertices}
-        step = _line_search(king_sup, best_s, direction, 1.0, best_res, 0.0, 1e-8, strict=True)
+                direction = {v: -g for v, g in point.grad.items()}
+        step = _line_search(lambda p: p.residual, point, direction, 1.0, 0.0, 1e-8, strict=True)
         if step is None:
             break
-        # the accepted trial is the last one evaluated
-        (best_s, best_res), spectra = step, trial
-        best_metric = {v: spectra[v][0][0] for v in best_s}
-        direction = None
-    return best_s, best_res, best_metric
+        point, direction = step[0], None
+    return point
 
 
 def _backtrack(trial, alpha, reference, deriv, floor, strict=False):
@@ -365,26 +363,29 @@ def _backtrack(trial, alpha, reference, deriv, floor, strict=False):
     return None
 
 
-def _line_search(evaluate, s, direction, alpha, reference, deriv, floor=1e-16, strict=False):
-    """:func:`_backtrack` over the trials ``_hermitian_part(s + a direction)``
-    valued by ``evaluate``, from ``alpha`` capped to a step of sup norm
-    ``STEP_CAP`` (``np.inf`` asks for that full length).  The cap bounds step
-    length, not ``alpha``: along escaping directions the gradient decays
-    exponentially while Barzilai-Borwein ``alpha`` grows to compensate.  A
-    zero direction takes no step."""
+def _line_search(evaluate, point, direction, alpha, deriv, floor=1e-16, strict=False):
+    """:func:`_backtrack` over the trial points ``_hermitian_part(s + a
+    direction)`` valued by ``evaluate``, against ``evaluate(point)``, from
+    ``alpha`` capped to a step of sup norm ``STEP_CAP`` (``np.inf`` asks for
+    that full length).  The cap bounds step length, not ``alpha``: along
+    escaping directions the gradient decays exponentially while
+    Barzilai-Borwein ``alpha`` grows to compensate.  A zero direction takes
+    no step."""
     dir_sup = _family_sup(direction)
     if dir_sup == 0.0:
         return None
     alpha = float(min(alpha, STEP_CAP / dir_sup))
+    s = point.s
 
     def trial(a):
-        point = {v: _hermitian_part(s[v] + a * direction[v]) for v in direction}
-        return point, evaluate(point)
+        moved = {v: _hermitian_part(s[v] + a * direction[v]) for v in direction}
+        moved = KingPoint(point.rep, point.eta, point.weights, moved)
+        return moved, evaluate(moved)
 
-    return _backtrack(trial, alpha, reference, deriv, floor, strict)
+    return _backtrack(trial, alpha, evaluate(point), deriv, floor, strict)
 
 
-def _descent_probe(vertices, s, value, grad, functional):
+def _descent_probe(point):
     """Distinguish a genuine minimum from an escaping valley at a stall.
 
     Attempt a strict Armijo steepest-descent step whose *trial length* is
@@ -392,16 +393,15 @@ def _descent_probe(vertices, s, value, grad, functional):
     order-one step can decrease the functional, so every trial is rejected
     down to the stationarity scale and the probe returns ``None``; along an
     escaping valley the functional keeps decaying at full step length, the
-    trial is accepted, and the caller should keep flowing.  ``value`` is the
-    functional at ``s``.
+    trial is accepted, and the caller should keep flowing.
     """
-    direction = {v: -grad[v] for v in vertices}
+    direction = {v: -g for v, g in point.grad.items()}
     dir_sup = _family_sup(direction)
     if dir_sup == 0.0:
         return None
-    floor = STATIONARY_STEP * max(1.0, _family_sup(s)) / dir_sup
-    deriv = -_family_inner(grad, grad)
-    return _line_search(functional, s, direction, np.inf, value, deriv, floor, strict=True)
+    floor = STATIONARY_STEP * max(1.0, _family_sup(point.s)) / dir_sup
+    deriv = -_family_inner(point.grad, point.grad)
+    return _line_search(lambda p: p.value, point, direction, np.inf, deriv, floor, strict=True)
 
 
 def solve_metric(
@@ -434,77 +434,57 @@ def solve_metric(
         opts = SolveOptions()
     eta = validate_eta(rep.quiver, eta)
     weights = _weights(rep.quiver, kahler)
-    vertices = [v for v in rep.quiver.vertices]
 
-    s = zero_displacement(rep)
-    last = (None, None)  # the point last evaluated, with its eigenpairs
+    def evaluated(point, iteration):
+        """``point``, with its functional and gradient read: a failure there
+        is a :class:`SolverError` at ``iteration``."""
+        try:
+            point.value, point.grad
+        except MomentMapError as exc:
+            what = "gradient" if iteration else "initial"
+            raise SolverError(f"{what} evaluation failed", {"iteration": iteration}) from exc
+        return point
 
-    def eigenpairs(point):
-        nonlocal last
-        if last[0] is not point:
-            last = (point, _eigenpairs(point))
-        return last[1]
-
-    def functional(point):
-        return _kempf_ness_value(rep, point, eta, weights, eigenpairs(point))
-
-    def gradient_and_metric(point):
-        spectra = _spectra(eigenpairs(point))
-        grad = _kempf_ness_gradient(rep, point, eta, weights, spectra)
-        return grad, {v: spectra[v][0][0] for v in vertices}, spectra
-
-    try:
-        value = functional(s)
-        grad, metric, spectra = gradient_and_metric(s)
-    except MomentMapError as exc:
-        raise SolverError("initial evaluation failed", {"iteration": 0}) from exc
-    if not np.isfinite(value):
+    point = evaluated(KingPoint(rep, eta, weights, zero_displacement(rep)), 0)
+    if not np.isfinite(point.value):
         raise SolverError("non-finite functional", {"iteration": 0})
-    residual = _king_residual(rep, metric, eta, weights).sup
-    history = [HistoryRecord(0, value, residual)]
+    history = [HistoryRecord(0, point.value, point.residual)]
 
-    def finish(status, res, met, cert=None):
-        return SolveOutcome(
-            status=status,
-            metric=met if status is SolveStatus.CONVERGED else None,
-            history=history,
-            final_sup=res,
-            certificate=cert,
-        )
+    def finish(status, point, cert=None):
+        metric = point.metric if status is SolveStatus.CONVERGED else None
+        return SolveOutcome(status, metric, history, point.residual, cert)
 
-    if residual <= opts.tol:
+    if point.residual <= opts.tol:
         # Already a solution at h = Id; gradient and residual agree at s = 0.
-        return finish(SolveStatus.CONVERGED, residual, metric)
+        return finish(SolveStatus.CONVERGED, point)
 
-    prev_s = None
-    prev_grad = None
+    prev = None
     force_descent = False
 
     for iteration in range(1, opts.max_iters + 1):
+        grad, value, residual = point.grad, point.value, point.residual
         gnorm2 = _family_inner(grad, grad)
         if gnorm2 <= 0.0:
             # An exactly zero gradient marks a critical point, that is a
             # solution, and no probe can move from there; the re-evaluated
             # residual decides whether it is one to ``tol``.
             if residual <= opts.tol:
-                return finish(SolveStatus.CONVERGED, residual, metric)
-            return finish(SolveStatus.MAX_ITERS, residual, metric)
+                return finish(SolveStatus.CONVERGED, point)
+            return finish(SolveStatus.MAX_ITERS, point)
 
         # --- choose a direction
         probe = force_descent
         force_descent = False
         use_newton = residual < NEWTON_SWITCH_TOL and not probe
-        direction = None
-        deriv = None
-        # the damped Newton step at s, computed at most once per iteration
-        newton = None
+        # the damped Newton step at the point, computed at most once per iteration
+        direction = deriv = newton = None
         if use_newton:
-            newton = _newton_direction(rep, s, eta, weights, grad, residual, spectra)
+            newton = _newton_direction(point)
             direction, deriv = newton
             if direction is None:
                 use_newton = False
         if direction is None:
-            direction = {v: -grad[v] for v in vertices}
+            direction = {v: -g for v, g in grad.items()}
             deriv = -gnorm2
 
         # --- initial step: unit for Newton, safeguarded BB for descent;
@@ -517,100 +497,70 @@ def solve_metric(
             # to a negligible step; along an escaping valley it is accepted
             # at full length and the trajectory keeps growing.
             alpha = np.inf
-        elif prev_s is not None:
-            ds = {v: s[v] - prev_s[v] for v in vertices}
-            dg = {v: grad[v] - prev_grad[v] for v in vertices}
+        elif prev is not None:
+            ds = {v: point.s[v] - prev.s[v] for v in grad}
+            dg = {v: grad[v] - prev.grad[v] for v in grad}
             num = _family_inner(ds, dg)
             den = _family_inner(dg, dg)
             alpha = num / den if (den > 0 and num > 0) else 1.0 / max(1.0, _family_sup(grad))
         else:
             alpha = 1.0 / max(1.0, _family_sup(grad))
 
-        step = _line_search(functional, s, direction, alpha, value, deriv)
-        accepted = step is not None
-        if accepted:
-            new_s, new_value = step
-        if not accepted or not new_value < value:
+        step = _line_search(lambda p: p.value, point, direction, alpha, deriv)
+        if (step is None or not step[1] < value) and not use_newton:
             # Steepest descent can stall with strict progress still available:
             # near-flat valleys flanked by exponentially steep walls reject
             # every trial once any wall component enters the direction.  The
             # damped Newton direction suppresses wall components, so try it
             # as a rescue before concluding anything.
-            if not use_newton:
-                if newton is None:
-                    newton = _newton_direction(rep, s, eta, weights, grad, residual, spectra)
-                r_dir, r_deriv = newton
-                if r_dir is not None:
-                    step = _line_search(functional, s, r_dir, 1.0, value, r_deriv)
-                    if step is not None and step[1] < value:
-                        new_s, new_value = step
-                        accepted = True
-        if not accepted or not new_value < value:
+            if newton is None:
+                newton = _newton_direction(point)
+            r_dir, r_deriv = newton
+            if r_dir is not None:
+                rescue = _line_search(lambda p: p.value, point, r_dir, 1.0, r_deriv)
+                if rescue is not None and rescue[1] < value:
+                    step = rescue
+        if step is None or not step[1] < value:
             # The functional's decrease per step has fallen below its own
             # floating-point resolution.  Polish the residual if needed, then
             # separate a genuine minimum from an escaping flat valley (where
             # the residual also decays) with one full-length descent trial.
             if residual >= NEWTON_SWITCH_TOL:
                 logger.debug("line search stalled at iteration %d", iteration)
-                return finish(SolveStatus.MAX_ITERS, residual, metric)
+                return finish(SolveStatus.MAX_ITERS, point)
             refined = residual > opts.tol
             if refined:
-                first = newton[0]
-                if first is None:
-                    first = {v: -grad[v] for v in vertices}
-                s, residual, metric = _refine_by_residual(
-                    rep, s, eta, weights, opts, residual, metric, first
-                )
-                try:
-                    value = functional(s)
-                except MomentMapError as exc:
-                    raise SolverError(
-                        "functional evaluation failed", {"iteration": iteration}
-                    ) from exc
-                if residual > opts.tol:
+                first = newton[0] if newton[0] is not None else direction
+                point = _refine_by_residual(point, opts.tol, first)
+                if point.residual > opts.tol:
                     logger.debug("refinement stalled at iteration %d", iteration)
-                    history.append(HistoryRecord(iteration, value, residual))
-                    return finish(SolveStatus.MAX_ITERS, residual, metric)
-                try:
-                    grad, _, spectra = gradient_and_metric(s)
-                except MomentMapError as exc:
-                    raise SolverError(
-                        "gradient evaluation failed", {"iteration": iteration}
-                    ) from exc
-            probe_step = _descent_probe(vertices, s, value, grad, functional)
-            if probe_step is None:
+                    history.append(HistoryRecord(iteration, point.value, point.residual))
+                    return finish(SolveStatus.MAX_ITERS, point)
+                point = evaluated(point, iteration)
+            step = _descent_probe(point)
+            if step is None:
                 if refined:
                     # Refinement moved the iterate after the last logged
                     # record; log the state actually being returned.
-                    history.append(HistoryRecord(iteration, value, residual))
-                return finish(SolveStatus.CONVERGED, residual, metric)
-            new_s, new_value = probe_step
-            accepted = True
+                    history.append(HistoryRecord(iteration, point.value, point.residual))
+                return finish(SolveStatus.CONVERGED, point)
 
-        prev_s, prev_grad = s, grad
-        s, value = new_s, new_value
-        try:
-            grad, metric, spectra = gradient_and_metric(s)
-        except MomentMapError as exc:
-            raise SolverError(
-                "gradient evaluation failed", {"iteration": iteration}
-            ) from exc
-        residual = _king_residual(rep, metric, eta, weights).sup
-        history.append(HistoryRecord(iteration, value, residual))
+        prev, point = point, evaluated(step[0], iteration)
+        history.append(HistoryRecord(iteration, point.value, point.residual))
 
         # --- termination checks: escape first, then stationarity
-        s_sup = _family_sup(s)
+        s_sup = _family_sup(point.s)
         if s_sup > DIVERGENCE_NORM:
-            cert = extract_destabilizer(s, rep, eta)
-            return finish(SolveStatus.DIVERGED, residual, metric, cert)
-        if residual <= opts.tol and _family_sup(
-            {v: s[v] - prev_s[v] for v in vertices}
+            cert = _extract_destabilizer(point.s, rep, eta)
+            return finish(SolveStatus.DIVERGED, point, cert)
+        if point.residual <= opts.tol and _family_sup(
+            {v: point.s[v] - prev.s[v] for v in grad}
         ) <= STATIONARY_STEP * max(1.0, s_sup):
             # A tiny step certifies stationarity only when it survived a
             # full-length descent probe; damped Newton and BB steps can be
             # tiny along escaping valleys too.  Otherwise schedule a probe.
             if probe:
-                return finish(SolveStatus.CONVERGED, residual, metric)
+                return finish(SolveStatus.CONVERGED, point)
             force_descent = True
 
-    return finish(SolveStatus.MAX_ITERS, residual, metric)
+    return finish(SolveStatus.MAX_ITERS, point)

@@ -15,16 +15,14 @@ from momentmap.linalg import (
     _hermitian_part,
     _hermitian_from_coords,
     _max_sup_norm,
+    _metric_adjoint,
     as_complex_matrix,
     as_hermitian,
     as_positive_definite,
     frechet_exp,
-    frobenius_norm,
     hermitian_basis,
     hermitian_exp,
-    hermitian_log,
     hermitian_part,
-    metric_adjoint,
     sup_norm,
 )
 
@@ -96,7 +94,6 @@ class TestConstructors:
     def test_norms_on_empty(self):
         e = np.zeros((0, 0))
         assert sup_norm(e) == 0.0
-        assert frobenius_norm(e) == 0.0
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 2), (2, 5), (12, 12)])
     def test_sup_norm_bitwise_equal_to_norm_2(self, shape):
@@ -116,16 +113,6 @@ class TestExpLog:
         s = np.diag([np.log(2.0), np.log(3.0)]).astype(complex)
         npt.assert_allclose(hermitian_exp(s), np.diag([2.0, 3.0]), rtol=1e-14)
 
-    def test_log_identity_is_zero(self):
-        npt.assert_allclose(hermitian_log(np.eye(3)), np.zeros((3, 3)), atol=1e-15)
-
-    def test_log_diagonal(self):
-        npt.assert_allclose(
-            hermitian_log(np.diag([2.0, 3.0])),
-            np.diag([np.log(2.0), np.log(3.0)]),
-            rtol=1e-14,
-        )
-
     def test_exp_inverse_identity(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -144,22 +131,23 @@ class TestExpLog:
         rng = np.random.default_rng(9)
         for _ in range(20):
             s = random_hermitian(rng, 4)
-            h = hermitian_exp(s)
-            npt.assert_allclose(hermitian_log(h), s, atol=1e-10 * max(1.0, sup_norm(s)))
+            w, u = np.linalg.eigh(hermitian_exp(s))
+            log = (u * np.log(w)) @ u.conj().T
+            npt.assert_allclose(log, s, atol=1e-10 * max(1.0, sup_norm(s)))
 
 
 class TestMetricAdjoint:
     def test_identity_metrics_give_conjugate_transpose(self):
         rng = np.random.default_rng(10)
         t = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        adj = metric_adjoint(t, np.eye(2), np.eye(3))
+        adj = _metric_adjoint(t, np.eye(2), np.eye(3))
         npt.assert_allclose(adj, t.conj().T, atol=1e-15)
 
     def test_diagonal_metric_example(self):
         # h_src^-1 T^dagger h_dst = diag(1, 1/4) E21 diag(1, 4): entry (2,1) = 1/4.
         t = np.array([[0.0, 1.0], [0.0, 0.0]])
         h = np.diag([1.0, 4.0])
-        adj = metric_adjoint(t, h, h)
+        adj = _metric_adjoint(t, h, h)
         npt.assert_allclose(adj, np.array([[0.0, 0.0], [0.25, 0.0]]), atol=1e-15)
 
     def test_pairing_identity(self):
@@ -170,7 +158,7 @@ class TestMetricAdjoint:
             t = rng.standard_normal((d_dst, d_src)) + 1j * rng.standard_normal((d_dst, d_src))
             h_src = make_pd(rng, d_src)
             h_dst = make_pd(rng, d_dst)
-            adj = metric_adjoint(t, h_src, h_dst)
+            adj = _metric_adjoint(t, h_src, h_dst)
             x = rng.standard_normal(d_src) + 1j * rng.standard_normal(d_src)
             y = rng.standard_normal(d_dst) + 1j * rng.standard_normal(d_dst)
             lhs = y.conj() @ h_dst @ (t @ x)
@@ -184,8 +172,8 @@ class TestMetricAdjoint:
             t = rng.standard_normal((d2, d1)) + 1j * rng.standard_normal((d2, d1))
             s = rng.standard_normal((d3, d2)) + 1j * rng.standard_normal((d3, d2))
             h1, h2, h3 = make_pd(rng, d1), make_pd(rng, d2), make_pd(rng, d3)
-            lhs = metric_adjoint(s @ t, h1, h3)
-            rhs = metric_adjoint(t, h1, h2) @ metric_adjoint(s, h2, h3)
+            lhs = _metric_adjoint(s @ t, h1, h3)
+            rhs = _metric_adjoint(t, h1, h2) @ _metric_adjoint(s, h2, h3)
             npt.assert_allclose(lhs, rhs, atol=1e-12 * max(1.0, sup_norm(lhs)))
 
     def test_double_adjoint(self):
@@ -195,19 +183,9 @@ class TestMetricAdjoint:
             t = rng.standard_normal((d_dst, d_src)) + 1j * rng.standard_normal((d_dst, d_src))
             h_src = make_pd(rng, d_src)
             h_dst = make_pd(rng, d_dst)
-            back = metric_adjoint(metric_adjoint(t, h_src, h_dst), h_dst, h_src)
+            back = _metric_adjoint(_metric_adjoint(t, h_src, h_dst), h_dst, h_src)
             npt.assert_allclose(back, t, atol=1e-12 * max(1.0, sup_norm(t)))
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            metric_adjoint(np.zeros((2, 3)), np.eye(2), np.eye(2))
-
-    @pytest.mark.parametrize("h_src", [np.zeros((2, 2)), -np.eye(2)])
-    def test_rejects_a_metric_that_is_not_positive_definite(self, h_src):
-        with pytest.raises(ValidationError, match="source metric: not positive-definite"):
-            metric_adjoint(np.ones((2, 2)), h_src, np.eye(2))
-        with pytest.raises(ValidationError, match="target metric: not positive-definite"):
-            metric_adjoint(np.ones((2, 2)), np.eye(2), h_src)
 
 
 def make_pd(rng, n):

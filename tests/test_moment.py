@@ -9,11 +9,8 @@ from momentmap.errors import ValidationError
 from momentmap.linalg import _frechet_exp, _hermitian_exp, hermitian_basis, hermitian_exp, sup_norm
 from momentmap.moment import (
     KahlerData,
-    _eigenpairs,
-    _kempf_ness_gradient,
-    _kempf_ness_value,
+    KingPoint,
     _king_residual,
-    _spectra,
     gauge_variation,
     hamiltonian_projector,
     hamiltonian_trivial,
@@ -152,17 +149,17 @@ class TestStackedKernelsMatchPerVertex:
 
     def test_value_gradient_and_metric(self):
         for rep, s, eta, w in random_families():
-            eig = _eigenpairs(s)
-            assert len(eig) == len(set(rep.dims.values()))
-            value = _kempf_ness_value(rep, s, eta, w, eig)
-            assert np.float64(value).tobytes() == np.float64(reference_value(rep, s, eta, w)).tobytes()
-            spectra = _spectra(eig)
-            got = _kempf_ness_gradient(rep, s, eta, w, spectra)
+            point = KingPoint(rep, eta, w, s)
+            assert len(point.eig) == len(set(rep.dims.values()))
+            want = np.float64(reference_value(rep, s, eta, w))
+            assert np.float64(point.value).tobytes() == want.tobytes()
             want = reference_gradient(rep, s, eta, w)
             for v in rep.quiver.vertices:
-                assert got[v].tobytes() == want[v].tobytes()
-                assert spectra[v][0][0].tobytes() == _hermitian_exp(s[v]).tobytes()
-                assert spectra[v][1][0].tobytes() == _hermitian_exp(-s[v]).tobytes()
+                assert point.grad[v].tobytes() == want[v].tobytes()
+                assert point.metric[v].tobytes() == _hermitian_exp(s[v]).tobytes()
+                assert point.spectra[v][1][0].tobytes() == _hermitian_exp(-s[v]).tobytes()
+            want = _king_residual(rep, point.metric, eta, w).sup
+            assert np.float64(point.residual).tobytes() == np.float64(want).tobytes()
 
     def test_residual_and_family_sup_norms(self):
         for rep, s, eta, w in random_families():
@@ -170,7 +167,7 @@ class TestStackedKernelsMatchPerVertex:
             res = _king_residual(rep, metric, eta, w)
             want = max(sup_norm(b) for b in res.blocks.values())
             assert np.float64(res.sup).tobytes() == np.float64(want).tobytes()
-            for family in (s, res.blocks, _kempf_ness_gradient(rep, s, eta, w)):
+            for family in (s, res.blocks, KingPoint(rep, eta, w, s).grad):
                 want = max(sup_norm(m) for m in family.values())
                 assert np.float64(_family_sup(family)).tobytes() == np.float64(want).tobytes()
 
@@ -417,7 +414,7 @@ class TestKempfNessGradient:
     def test_bitwise_equal_to_separately_evaluated_kernels(self):
         rep, s, eta, weights = mixed_case()
         assert 2.9 < max(sup_norm(m) for m in s.values()) < 3.1
-        got = _kempf_ness_gradient(rep, s, eta, weights)
+        got = KingPoint(rep, eta, weights, s).grad
         want = reference_gradient(rep, s, eta, weights)
         assert list(got) == list(want)
         for v in rep.quiver.vertices:

@@ -8,17 +8,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from momentmap import linalg, solver
-from momentmap.errors import NumericError, ValidationError
-from momentmap.linalg import hermitian_basis, hermitian_log, sup_norm
-from momentmap.moment import (
-    _eigenpairs,
-    _kempf_ness_gradient,
-    _kempf_ness_value,
-    _spectra,
-    kempf_ness_value,
-    king_residual,
-)
+from momentmap import linalg, moment, solver
+from momentmap.errors import NumericError, SolverError, ValidationError
+from momentmap.linalg import hermitian_basis, hermitian_exp, sup_norm
+from momentmap.moment import KingPoint, king_residual
 from momentmap.quiver import (
     Arrow,
     Quiver,
@@ -154,8 +147,8 @@ def reference_hessian(rep, s, eta, weights, scale):
         sp[v] = s[v] + eps * b
         sm = dict(s)
         sm[v] = s[v] - eps * b
-        gp = _kempf_ness_gradient(rep, sp, eta, weights)
-        gm = _kempf_ness_gradient(rep, sm, eta, weights)
+        gp = KingPoint(rep, eta, weights, sp).grad
+        gm = KingPoint(rep, eta, weights, sm).grad
         for i, (w, c) in enumerate(basis_index):
             hess[i, j] = float(np.trace((gp[w] - gm[w]) @ c).real) / (2 * eps)
     return 0.5 * (hess + hess.T), basis_index
@@ -277,7 +270,7 @@ class TestNewtonEndgame:
         scale = max(1.0, solver._family_sup(s))
         assert 2.9 < scale < 3.1
         want, _ = reference_hessian(rep, s, eta, weights, scale)
-        got = solver._finite_difference_hessian(rep, s, eta, weights, scale)
+        got = solver._finite_difference_hessian(KingPoint(rep, eta, weights, s), scale)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
         # Perturbing "a" leaves the block of the non-adjacent vertex "d".
@@ -285,35 +278,36 @@ class TestNewtonEndgame:
 
     def test_newton_direction_bitwise_equal_to_basis_loops(self):
         rep, s, eta, weights = mixed_case()
-        grad = _kempf_ness_gradient(rep, s, eta, weights)
+        point = KingPoint(rep, eta, weights, s)
+        grad = point.grad
         hess, basis_index = reference_hessian(
             rep, s, eta, weights, max(1.0, solver._family_sup(s))
         )
         gvec = np.array([float(np.trace(grad[v] @ b).real) for v, b in basis_index])
-        delta = np.linalg.solve(hess + 1e-3 * np.eye(len(gvec)), -gvec)
+        lam = max(1e-10, point.residual)  # damped by the residual at the point
+        delta = np.linalg.solve(hess + lam * np.eye(len(gvec)), -gvec)
         want = {v: np.zeros_like(s[v]) for v in rep.quiver.vertices}
         for coeff, (v, b) in zip(delta, basis_index):
             want[v] = want[v] + coeff * b
-        got, slope = solver._newton_direction(rep, s, eta, weights, grad, 1e-3)
+        got, slope = solver._newton_direction(point)
         assert slope == float(delta @ gvec) < 0
         for v in rep.quiver.vertices:
             assert got[v].tobytes() == want[v].tobytes()
 
     def test_hessian_eigendecompositions(self, monkeypatch):
-        # One stacked eigh over +-s_v at s (the three vertices share one
-        # dimension), none when the caller passes those spectra, and one
+        # One stacked eigh over +-s_v at the point (the three vertices share
+        # one dimension), none once the point holds those spectra, and one
         # stacked eigh per side and chunk of columns; a vertex of dimension 4
         # is a single chunk.  Re-evaluating the full gradient per column
         # takes 2 * 48 on this quiver.
         rep, s = cycle_case()
-        eta, weights = zero_eta(rep), unit_weights(rep)
-        base = _spectra(_eigenpairs(s))
+        point = KingPoint(rep, zero_eta(rep), unit_weights(rep), s)
         calls = count_eigh(monkeypatch)
-        fresh = solver._finite_difference_hessian(rep, s, eta, weights, 1.0)
+        fresh = solver._finite_difference_hessian(point, 1.0)
         assert len(calls) == 1 + 2 * 3
-        given = solver._finite_difference_hessian(rep, s, eta, weights, 1.0, base)
+        again = solver._finite_difference_hessian(point, 1.0)
         assert len(calls) == 1 + 2 * 3 + 2 * 3
-        assert given.tobytes() == fresh.tobytes()
+        assert again.tobytes() == fresh.tobytes()
 
     def test_hessian_bitwise_equal_across_chunks(self, monkeypatch):
         # The 8x8 loop's 64 columns take four chunks of 16, its neighbour's
@@ -323,7 +317,7 @@ class TestNewtonEndgame:
         scale = max(1.0, solver._family_sup(s))
         want, _ = reference_hessian(rep, s, eta, weights, scale)
         calls = count_eigh(monkeypatch)
-        got = solver._finite_difference_hessian(rep, s, eta, weights, scale)
+        got = solver._finite_difference_hessian(KingPoint(rep, eta, weights, s), scale)
         assert len(calls) == 2 + 2 * (4 + 1)
         assert got.tobytes() == want.tobytes()
 
@@ -333,7 +327,7 @@ class TestNewtonEndgame:
         s = {"v": random_hermitian(np.random.default_rng(8), 8, 0.25)}
         tracemalloc.start()
         try:
-            solver._finite_difference_hessian(rep, s, {"v": 0.0}, {"l0": 1.0}, 1.0)
+            solver._finite_difference_hessian(KingPoint(rep, {"v": 0.0}, {"l0": 1.0}, s), 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -351,8 +345,8 @@ class TestNewtonEndgame:
         got = solve_metric(rep, zero_eta(rep), opts=opts)
         monkeypatch.setattr(
             solver, "_finite_difference_hessian",
-            lambda rep, s, eta, weights, scale, base: reference_hessian(
-                rep, s, eta, weights, scale
+            lambda point, scale: reference_hessian(
+                point.rep, point.s, point.eta, point.weights, scale
             )[0],
         )
         want = solve_metric(rep, zero_eta(rep), opts=opts)
@@ -379,27 +373,28 @@ class TestNewtonEndgame:
     def test_overflowing_trial_is_a_backtrack(self):
         rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
         eta, weights = {"v": 0.0}, {"l0": 1.0}
-        s = {"v": np.zeros((2, 2), dtype=np.complex128)}
-        grad = _kempf_ness_gradient(rep, s, eta, weights)
+        point = KingPoint(rep, eta, weights, {"v": np.zeros((2, 2), dtype=np.complex128)})
+        grad = point.grad
         trials = []
 
-        def functional(point):
+        def functional(p):
+            if p is point:  # the reference value at the start
+                return p.value
             # the exponential overflows past sup norm 1 in this model
-            trials.append(sup_norm(point["v"]))
+            trials.append(sup_norm(p.s["v"]))
             if trials[-1] > 1.0:
                 raise NumericError("matrix exponential overflowed")
-            return _kempf_ness_value(rep, point, eta, weights)
+            return p.value
 
-        value = _kempf_ness_value(rep, s, eta, weights)
         big = {"v": -1e10 * grad["v"]}
         deriv = -1e10 * float(np.trace(grad["v"] @ grad["v"]).real)
         # a start of 1e300 times the direction is capped to a step of STEP_CAP
-        step = solver._line_search(functional, s, big, 1e300, value, deriv)
+        step = solver._line_search(functional, point, big, 1e300, deriv)
         assert step is not None
-        new_s, new_value = step
-        assert new_value < value
+        new, new_value = step
+        assert new_value == new.value < point.value
         assert trials[0] == pytest.approx(solver.STEP_CAP)
-        assert 0 < sup_norm(new_s["v"]) <= 1.0 < trials[-2]
+        assert 0 < sup_norm(new.s["v"]) <= 1.0 < trials[-2]
 
     @pytest.mark.parametrize("kind", ["main", "rescue", "probe", "polish"])
     def test_numeric_error_in_a_trial_is_a_backtrack(self, monkeypatch, kind):
@@ -409,20 +404,22 @@ class TestNewtonEndgame:
         line_search = solver._line_search
         calls, steps, trials = [], [], []
 
-        def spied(evaluate, s, direction, *args, **kwargs):
+        def spied(evaluate, start, direction, *args, **kwargs):
             calls.append(1)
             if kind == "rescue" and len(calls) == 1:
                 return None
             if steps:
-                return line_search(evaluate, s, direction, *args, **kwargs)
+                return line_search(evaluate, start, direction, *args, **kwargs)
 
             def failing(point):
-                trials.append(max(sup_norm(point[v] - s[v]) for v in point))
+                if point is start:  # the reference value at the start
+                    return evaluate(point)
+                trials.append(max(sup_norm(point.s[v] - start.s[v]) for v in point.s))
                 if len(trials) == 1:
                     raise NumericError("matrix exponential overflowed")
                 return evaluate(point)
 
-            steps.append(line_search(failing, s, direction, *args, **kwargs))
+            steps.append(line_search(failing, start, direction, *args, **kwargs))
             return steps[0]
 
         monkeypatch.setattr(solver, "_line_search", spied)
@@ -435,20 +432,13 @@ class TestNewtonEndgame:
             assert out.history[1].functional < out.history[0].functional
         elif kind == "probe":
             rep = loop_rep(np.diag(np.ones(1), 1))  # escaping: the probe moves
-            grad = _kempf_ness_gradient(rep, s, eta, weights)
-            value = _kempf_ness_value(rep, s, eta, weights)
-
-            def functional(point):
-                return _kempf_ness_value(rep, point, eta, weights)
-
-            assert solver._descent_probe(["v"], s, value, grad, functional)[1] < value
+            point = KingPoint(rep, eta, weights, s)
+            assert solver._descent_probe(point)[1] < point.value
         else:
             rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
-            residual = king_residual(rep, {"v": np.eye(2)}, eta).sup
-            _, res, metric = solver._refine_by_residual(
-                rep, s, eta, weights, SolveOptions(), residual, None, None
-            )
-            assert res < residual and metric is not None
+            point = KingPoint(rep, eta, weights, s)
+            polished = solver._refine_by_residual(point, SolveOptions().tol, None)
+            assert polished.residual < point.residual
         assert steps[0] is not None and len(trials) >= 2
         assert trials[0] <= solver.STEP_CAP
         assert trials[1] == pytest.approx(solver.BACKTRACK * trials[0], rel=1e-12)
@@ -464,9 +454,9 @@ class TestNewtonEndgame:
         points = []
         hessian = solver._finite_difference_hessian
 
-        def recorded(rep, s, *args):
-            points.append(b"".join(s[v].tobytes() for v in rep.quiver.vertices))
-            return hessian(rep, s, *args)
+        def recorded(point, *args):
+            points.append(b"".join(m.tobytes() for m in point.s.values()))
+            return hessian(point, *args)
 
         monkeypatch.setattr(solver, "_finite_difference_hessian", recorded)
         out = solve_metric(rep, zero_eta(rep), opts=SolveOptions(max_iters=300))
@@ -529,8 +519,8 @@ def kronecker_case():
 
 class TestOneSpectralEvaluationPerPoint:
     """A King solve decomposes each point once, with one stacked eigh per
-    vertex dimension, and reads the functional, gradient, metric and Newton
-    Hessian at that point off it."""
+    vertex dimension, and reads the functional, gradient, metric, residual
+    and Newton Hessian at that point off it."""
 
     @pytest.mark.parametrize("case, groups", [("cycle444", 1), ("kronecker23", 2)])
     def test_one_eigh_per_dimension_and_evaluation(self, monkeypatch, case, groups):
@@ -540,44 +530,25 @@ class TestOneSpectralEvaluationPerPoint:
         else:
             rep, eta = kronecker_case()
         calls = count_eigh(monkeypatch)
-        points = []  # (point, its eigenpairs, eigh calls after them)
-        read = []  # eigenpairs read by functional evaluations
-        eigenpairs, value, gradient = (
-            solver._eigenpairs, solver._kempf_ness_value, solver._kempf_ness_gradient
-        )
+        points = []  # every family decomposed as a point, kept alive
+        eigenpairs = moment._eigenpairs
 
         def decomposed(s):
             before = len(calls)
             eig = eigenpairs(s)
-            if all(m.ndim == 2 for m in s.values()):  # not a Hessian column stack
-                assert len(calls) - before == groups
-                points.append((s, eig, len(calls)))
+            assert len(calls) - before == groups
+            points.append(s)
             return eig
 
-        def valued(rep, s, eta, w, eig=None):
-            # a functional evaluation reads the fresh eigenpairs of its point
-            assert points[-1][0] is s and points[-1][1] is eig and points[-1][2] == len(calls)
-            assert not any(eig is seen for seen in read)
-            read.append(eig)
-            return value(rep, s, eta, w, eig)
-
-        def differentiated(rep, s, eta, w, spectra=None):
-            # the gradient at the point decomposed last, with no eigh since
-            assert spectra is not None
-            assert points[-1][0] is s and points[-1][2] == len(calls)
-            return gradient(rep, s, eta, w, spectra)
-
         polished = count_calls(monkeypatch, "_refine_by_residual")
-        monkeypatch.setattr(solver, "_eigenpairs", decomposed)
-        monkeypatch.setattr(solver, "_kempf_ness_value", valued)
-        monkeypatch.setattr(solver, "_kempf_ness_gradient", differentiated)
+        monkeypatch.setattr(moment, "_eigenpairs", decomposed)
         out = solve_metric(rep, eta, opts=SolveOptions(max_iters=300))
         assert out.status is SolveStatus.CONVERGED
-        assert len(read) > len(out.history) > 10
-        # Each point is decomposed once, but for the polished iterate, whose
-        # functional is evaluated again after the polish.
-        again = len(points) - len({id(s) for s, _, _ in points})
-        assert again <= len(polished) == 1
+        assert len(points) > len(out.history) > 10
+        # No point is decomposed twice, the polished iterate included.
+        assert len(polished) == 1
+        again = len(points) - len({id(s) for s in points})
+        assert again == 0
 
 
 class TestProgrammingErrorsSurface:
@@ -586,49 +557,85 @@ class TestProgrammingErrorsSurface:
 
     def test_validation_error_in_a_trial_leaves_solve_metric(self, monkeypatch):
         calls = []
+        eigenpairs = moment._eigenpairs
 
-        def broken(*args):
+        def broken(s):
             calls.append(1)
             if len(calls) > 1:
                 raise ValidationError("broken kernel")
-            return _kempf_ness_value(*args)
+            return eigenpairs(s)
 
-        monkeypatch.setattr(solver, "_kempf_ness_value", broken)
+        monkeypatch.setattr(moment, "_eigenpairs", broken)
         rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
         with pytest.raises(ValidationError, match="broken kernel"):
             solve_metric(rep, {"v": 0.0})
         assert len(calls) == 2
 
     @pytest.mark.parametrize("good_calls", [0, 1])
-    def test_validation_error_leaves_the_descent_probe(self, good_calls):
-        # the probe takes the functional at s from its caller; the error
-        # comes from its first trial, or from its second after a rejection
+    def test_validation_error_leaves_the_descent_probe(self, monkeypatch, good_calls):
+        # the probe reads the functional at its point off the point; the
+        # error comes from its first trial, or from its second after a
+        # rejection
         rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
-        s = {"v": np.zeros((2, 2), dtype=np.complex128)}
-        grad = _kempf_ness_gradient(rep, s, {"v": 0.0}, {"l0": 1.0})
+        point = KingPoint(rep, {"v": 0.0}, {"l0": 1.0}, {"v": np.zeros((2, 2), dtype=complex)})
+        line_search = solver._line_search
         calls = []
 
-        def broken(point):
-            calls.append(1)
-            if len(calls) > good_calls:
-                raise ValidationError("broken kernel")
-            return 1.0
+        def spied(evaluate, start, *args, **kwargs):
+            def broken(trial):
+                if trial is start:
+                    return evaluate(trial)
+                calls.append(1)
+                if len(calls) > good_calls:
+                    raise ValidationError("broken kernel")
+                return start.value  # no decrease: rejected
 
+            return line_search(broken, start, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_line_search", spied)
         with pytest.raises(ValidationError, match="broken kernel"):
-            solver._descent_probe(["v"], s, 1.0, grad, broken)
+            solver._descent_probe(point)
         assert len(calls) == good_calls + 1
 
     def test_validation_error_leaves_the_residual_polish(self, monkeypatch):
         def broken(s):
             raise ValidationError("broken kernel")
 
-        # every polish trial is one spectral evaluation
-        monkeypatch.setattr(solver, "_eigenpairs", broken)
         rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
-        s = {"v": np.zeros((2, 2), dtype=np.complex128)}
-        eta, weights = {"v": 0.0}, {"l0": 1.0}
+        point = KingPoint(rep, {"v": 0.0}, {"l0": 1.0}, {"v": np.zeros((2, 2), dtype=complex)})
+        assert point.residual > SolveOptions().tol and point.grad
+        # every polish trial is a new point, decomposed once
+        monkeypatch.setattr(moment, "_eigenpairs", broken)
         with pytest.raises(ValidationError, match="broken kernel"):
-            solver._refine_by_residual(rep, s, eta, weights, SolveOptions(), 1.0, None, None)
+            solver._refine_by_residual(point, SolveOptions().tol, None)
+
+
+class TestEvaluationFailures:
+    """A numerical failure at an accepted point is a SolverError that names
+    the iteration."""
+
+    @pytest.mark.parametrize("good_points", [0, 1, 2])
+    def test_gradient_failure_is_a_solver_error(self, monkeypatch, good_points):
+        # The loop has one vertex, so each point's gradient is one block;
+        # trials read only the functional, and the first iterations take
+        # steepest-descent steps, which build no Hessian.
+        blocks = []
+        gradient_block = moment._gradient_block
+
+        def failing(*args):
+            blocks.append(1)
+            if len(blocks) > good_points:
+                raise NumericError("matrix exponential overflowed")
+            return gradient_block(*args)
+
+        monkeypatch.setattr(moment, "_gradient_block", failing)
+        rep = random_representation(loop_quiver(), {"v": 2}, seed=4)
+        with pytest.raises(SolverError) as err:
+            solve_metric(rep, {"v": 0.0})
+        what = "gradient" if good_points else "initial"
+        assert str(err.value).startswith(f"{what} evaluation failed")
+        assert err.value.details == {"iteration": good_points}
+        assert isinstance(err.value.__cause__, NumericError)
 
 
 class TestSolveMetricInvariants:
@@ -767,9 +774,9 @@ class TestEigendecompositionFailure:
 
         monkeypatch.setattr(np.linalg, "eigh", failing)
 
-    def test_hermitian_log(self):
+    def test_hermitian_exp(self):
         with pytest.raises(NumericError, match="eigendecomposition failed"):
-            hermitian_log(np.eye(2))
+            hermitian_exp(np.eye(2))
 
     def test_extract_destabilizer(self):
         rep = loop_rep([[0.0, 1.0], [0.0, 0.0]])
@@ -790,6 +797,20 @@ class TestExtractDestabilizer:
         with pytest.raises(ValidationError):
             extract_destabilizer(s, rep, {"v": 0.0})
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (np.array([-20.0, 20.0]), "expected a 2-d array"),
+            (np.diag([-20.0, 0.0, 20.0]), r"shape \(3, 3\) != expected \(2, 2\)"),
+            (np.array([[2.0, 1.0], [3.0, 0.0]]), "not Hermitian"),
+        ],
+        ids=["one_dimensional", "wrong_size", "not_hermitian"],
+    )
+    def test_displacement_validated(self, entry, message):
+        rep = loop_rep([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match=message):
+            extract_destabilizer({"v": entry}, rep, {"v": 0.0})
+
     def test_jordan_flow_yields_kernel_line(self):
         rep = loop_rep([[0.0, 1.0], [0.0, 0.0]])
         # the canonical escaping displacement contracts the kernel line e1
@@ -807,7 +828,8 @@ class TestExtractDestabilizer:
         assert out.status is SolveStatus.CONVERGED
         # scale the solved displacement up to meet the precondition; the
         # candidate is advisory and its slope must not report a violation.
-        s = hermitian_log(out.metric["v"])
+        w, u = np.linalg.eigh(out.metric["v"])
+        s = (u * np.log(w)) @ u.conj().T
         norm = sup_norm(s)
         if norm < 1e-12:
             s = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
