@@ -67,6 +67,8 @@ def check_keys(name: str, value, keys: Iterable) -> Mapping:
 def check_sequence(name: str, value) -> Sequence:
     """``value`` itself, if it is a sequence (a list, tuple or 1-d array) and
     not a string."""
+    if isinstance(value, (list, tuple)):
+        return value
     if isinstance(value, np.ndarray) and value.ndim == 1:
         return value
     if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):

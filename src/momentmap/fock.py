@@ -9,7 +9,9 @@ where ``hbar`` is kept symbolic: every coefficient is a polynomial in
 ``hbar`` with Gaussian-rational coefficients, so all identities in this
 module are checked exactly.  A :class:`NormalForm` stores an element as a
 combination of normal-ordered monomials ``z^k (z*)^l`` (all plain
-generators left of all starred ones).  The Gaussian state evaluates
+generators left of all starred ones); :func:`normal_order` orders each
+variable's letters on its own, by the ladder ``z_i* z_i = z_i z_i* + hbar``
+on integer counts.  The Gaussian state evaluates
 
     state( z^k (z*)^l )  =  prod_i delta_{k_i l_i} k_i! rho^{k_i},
 
@@ -36,7 +38,13 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .checks import check_exponents, check_int, graded_monomials, is_integer
+from .checks import (
+    check_exponents,
+    check_int,
+    check_sequence,
+    graded_monomials,
+    is_integer,
+)
 from .errors import ValidationError
 
 __all__ = [
@@ -233,11 +241,10 @@ class HbarPoly:
         return total
 
     def evaluate(self, hbar: float) -> complex:
-        """Floating evaluation at a numeric ``hbar``."""
-        return sum(
-            (val.to_complex() * float(hbar) ** deg for deg, val in self.coeffs.items()),
-            0j,
-        )
+        """Floating evaluation at a numeric ``hbar``, summed in ascending
+        degree so that equal polynomials give equal floats."""
+        h, c = float(hbar), self.coeffs
+        return sum((c[d].to_complex() * h**d for d in sorted(c)), 0j)
 
 
 def _poly(coeffs: dict) -> HbarPoly:
@@ -263,7 +270,7 @@ class Word:
     """Scalar multiple of a product of generators, as written.
 
     ``letters`` is a sequence of ``(index, starred)`` pairs with indices in
-    ``1..n``; ``(2, True)`` denotes ``z_2*``.
+    ``1..n`` and ``bool`` flags; ``(2, True)`` denotes ``z_2*``.
     """
 
     n: int
@@ -273,22 +280,36 @@ class Word:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_int("n", self.n, 1))
         letters = []
-        for letter in self.letters:
-            idx, star = letter
-            letters.append((_check_index(self.n, idx), bool(star)))
+        for letter in check_sequence("letters", self.letters):
+            letter = check_sequence("letter", letter)
+            if len(letter) != 2 or not isinstance(letter[1], (bool, np.bool_)):
+                raise ValidationError(f"not an (index, bool) letter: {letter!r}")
+            letters.append((_check_index(self.n, letter[0]), bool(letter[1])))
         object.__setattr__(self, "letters", tuple(letters))
         object.__setattr__(self, "scalar", QQi.of(self.scalar))
 
     def star(self) -> "Word":
         """Involution: reverse the letters, star each, conjugate the scalar."""
         flipped = tuple((i, not s) for i, s in reversed(self.letters))
-        return Word(self.n, flipped, self.scalar.conjugate())
+        return _word(self.n, flipped, self.scalar.conjugate())
 
     def concat(self, other: "Word") -> "Word":
         """Product of two words (letter concatenation)."""
+        if not isinstance(other, Word):
+            raise ValidationError(f"expected Word, got {type(other).__name__}")
         if other.n != self.n:
             raise ValidationError("words over different generator counts")
-        return Word(self.n, self.letters + other.letters, self.scalar * other.scalar)
+        return _word(self.n, self.letters + other.letters, self.scalar * other.scalar)
+
+
+def _word(n: int, letters: tuple, scalar: QQi) -> Word:
+    """Trusted construction from letters and a scalar of words this module
+    already validated: nothing is checked."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "n", n)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "scalar", scalar)
+    return w
 
 
 @dataclass(frozen=True)
@@ -410,24 +431,51 @@ def _form(n: int, terms: dict) -> NormalForm:
 
 
 def normal_order(w: Union[Word, Iterable[Word]]) -> NormalForm:
-    """Rewrite a word (or a sum of words) into its exact normal form by
-    moving every plain generator left through the starred block via
-    ``z_i* z_j = z_j z_i* + hbar delta_ij``."""
+    """Rewrite a word (or a sum of words) into its exact normal form.
+
+    Distinct variables commute, so each variable's letters are ordered on
+    their own, on integer counts of states ``z^k (z*)^l``: ``z_i*`` takes
+    ``(k, l)`` to ``(k, l+1)``, and ``z_i`` to ``(k+1, l)`` plus ``l`` times
+    ``(k, l-1)``, a ladder term ``z_i* z_i = z_i z_i* + hbar``.  The word's
+    terms are products of one state per variable, of hbar degree
+    ``(letters - |k| - |l|) / 2``.
+    """
+    if not isinstance(w, (Word, Iterable)):
+        raise ValidationError(f"expected a Word or Words, got {type(w).__name__}")
     words = [w] if isinstance(w, Word) else list(w)
     if not words:
         raise ValidationError("empty word sum has no generator count")
-    n = words[0].n
-    total = NormalForm.zero(n)
     for word in words:
         if not isinstance(word, Word):
             raise ValidationError(f"expected Word, got {type(word).__name__}")
-        if word.n != n:
+        if word.n != words[0].n:
             raise ValidationError("words over different generator counts")
-        acc = NormalForm.one(n).scale(HbarPoly({0: word.scalar}))
+    n = words[0].n
+    out: dict = {}
+    for word in words:
+        if not word.scalar:
+            continue
+        ladders = [{(0, 0): 1} for _ in range(n)]
         for idx, star in word.letters:
-            acc = acc.mul_zstar(idx) if star else acc.mul_z(idx)
-        total = total + acc
-    return total
+            step: dict = {}
+            for (k, l), count in ladders[idx - 1].items():
+                if star:
+                    step[k, l + 1] = count
+                else:
+                    step[k + 1, l] = step.get((k + 1, l), 0) + count
+                    if l:
+                        step[k, l - 1] = step.get((k, l - 1), 0) + count * l
+            ladders[idx - 1] = step
+        re, im = word.scalar.re, word.scalar.im
+        for states in itertools.product(*(ladder.items() for ladder in ladders)):
+            k = tuple(kl[0] for kl, _ in states)
+            l = tuple(kl[1] for kl, _ in states)
+            count = math.prod(c for _, c in states)
+            degree = (len(word.letters) - sum(k) - sum(l)) // 2
+            term = _poly({degree: _qqi(re * count, im * count)})
+            key = (k, l)
+            out[key] = out[key] + term if key in out else term
+    return _form(n, out)
 
 
 def nf_multiply(x: NormalForm, y: NormalForm) -> NormalForm:

@@ -105,6 +105,14 @@ class TestHbarPoly:
         assert exact == QQi(Fraction(2) + Fraction(1, 3) * Fraction(9, 4))
         assert p.evaluate(1.5) == pytest.approx(2 + 9 / 12)
 
+    def test_equal_polynomials_evaluate_to_equal_floats(self):
+        # In insertion order, (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ.
+        tenths = {d: QQi(Fraction(d + 1, 10)) for d in range(3)}
+        up = HbarPoly(tenths)
+        down = HbarPoly(dict(reversed(tenths.items())))
+        assert up == down
+        assert up.evaluate(1.0) == down.evaluate(1.0) == 0.6000000000000001
+
     def test_conjugate(self):
         p = HbarPoly({1: QQi(Fraction(0), Fraction(2))})
         assert p.conjugate() == HbarPoly({1: QQi(Fraction(0), Fraction(-2))})
@@ -132,12 +140,33 @@ class TestHbarPoly:
             HbarPoly.of(NormalForm.one(1))
 
 
+def letter_fold(words) -> NormalForm:
+    """Normal form of a word sum by right multiplication, one letter at a time."""
+    total = NormalForm.zero(words[0].n)
+    for w in words:
+        acc = NormalForm.one(w.n).scale(HbarPoly({0: w.scalar}))
+        for idx, star in w.letters:
+            acc = acc.mul_zstar(idx) if star else acc.mul_z(idx)
+        total = total + acc
+    return total
+
+
 class TestWord:
     def test_validation(self):
         with pytest.raises(ValidationError):
             Word(0, ())
         with pytest.raises(ValidationError):
             Word(2, ((3, False),))
+        for letters in ([1], 5, "ab", [(1,)], [(1, True, 3)], [(1, "yes")], [(1, 2)], [(1, None)]):
+            with pytest.raises(ValidationError):
+                Word(1, letters)
+        with pytest.raises(ValidationError):
+            Word(1, ()).concat(5)
+
+    def test_numpy_bool_flag_accepted(self):
+        w = Word(1, [[1, np.True_], (np.int64(1), np.False_)])
+        assert w.letters == ((1, True), (1, False))
+        assert [type(s) for _, s in w.letters] == [bool, bool]
 
     def test_star_reverses_and_flips(self):
         w = Word(2, ((1, False), (2, True)), QQi(Fraction(0), Fraction(1)))
@@ -206,6 +235,30 @@ class TestNormalOrder:
     def test_non_word_rejected(self):
         with pytest.raises(ValidationError):
             normal_order([Word(1, ()), "z"])
+        with pytest.raises(ValidationError):
+            normal_order(["z", Word(1, ())])
+        with pytest.raises(ValidationError, match="Word"):
+            normal_order(42)
+
+    def test_equals_letter_fold(self):
+        rng = np.random.default_rng(26)
+        for _ in range(150):
+            w = rand_word(rng, int(rng.integers(1, 4)), 16)
+            assert normal_order(w) == letter_fold([w])
+        for _ in range(30):
+            n = int(rng.integers(1, 4))
+            words = [rand_word(rng, n) for _ in range(int(rng.integers(1, 4)))]
+            words += [Word(n, words[0].letters, 0), Word(n, words[0].letters, -words[0].scalar)]
+            assert normal_order(words) == letter_fold(words)
+
+    def test_single_variable_matches_binomial_closed_form(self):
+        for m in range(21):
+            for p in range(21):
+                w = Word(1, ((1, True),) * m + ((1, False),) * p)
+                closed = nf_multiply(
+                    NormalForm.monomial(1, (0,), (m,)), NormalForm.monomial(1, (p,), (0,))
+                )
+                assert normal_order(w) == closed
 
 
 class TestMultiplicativityAndInvolution:
