@@ -466,13 +466,14 @@ def normal_order(w: Union[Word, Iterable[Word]]) -> NormalForm:
                     if l:
                         step[k, l - 1] = step.get((k, l - 1), 0) + count * l
             ladders[idx - 1] = step
-        re, im = word.scalar.re, word.scalar.im
+        scalar = word.scalar
         for states in itertools.product(*(ladder.items() for ladder in ladders)):
             k = tuple(kl[0] for kl, _ in states)
             l = tuple(kl[1] for kl, _ in states)
             count = math.prod(c for _, c in states)
             degree = (len(word.letters) - sum(k) - sum(l)) // 2
-            term = _poly({degree: _qqi(re * count, im * count)})
+            coeff = scalar if count == 1 else _qqi(scalar.re * count, scalar.im * count)
+            term = _poly({degree: coeff})
             key = (k, l)
             out[key] = out[key] + term if key in out else term
     return _form(n, out)

@@ -274,7 +274,8 @@ class _lazy:
 class KingPoint:
     """A displacement family ``s`` with its :func:`_eigenpairs` ``eig``,
     functional ``value``, :func:`_spectra`, ``metric`` ``exp(s)``, gradient
-    ``grad`` and residual sup norm ``residual``, each computed on first read.
+    ``grad``, residual sup norm ``residual`` and sup norm ``s_sup`` of ``s``,
+    each computed on first read.
     Unchecked: ``s`` holds Hermitian blocks of the sizes of ``rep``; ``eta``
     and the arrow weights are validated."""
 
@@ -322,6 +323,10 @@ class KingPoint:
     @_lazy
     def residual(self) -> float:
         return _king_residual(self.rep, self.metric, self.eta, self.weights).sup
+
+    @_lazy
+    def s_sup(self) -> float:
+        return _max_sup_norm(self.s.values())
 
 
 def _gradient_block(rep, v, spectra, eta, w) -> np.ndarray:

@@ -6,7 +6,7 @@ Barzilai-Borwein initial step, switching to Tikhonov-damped Newton once the
 residual is small.  Its four step kinds -- the main step, the Newton rescue,
 the descent probe and the residual polish -- share one line search,
 :func:`_line_search`, which caps the trial step at ``STEP_CAP`` and shrinks
-it in :func:`_backtrack`, the package's one backtracking loop.  Three
+it in :func:`_backtrack`, the package's one backtracking loop.  Four
 safeguards matter on hard instances:
 
 * On non-polystable instances the residual decays to zero *along an escaping
@@ -18,6 +18,11 @@ safeguards matter on hard instances:
 * Near a true minimum the functional's decrease per step falls below its own
   floating-point resolution before the residual reaches ``tol``; an endgame
   polish accepts damped-Newton steps by residual contraction instead.
+* Below ``NEWTON_SWITCH_TOL`` in the residual, the searches on the
+  functional (the main step and the Newton rescue) stop at the step length
+  whose predicted decrease is ``4 eps |value|``, the functional's rounding
+  resolution, rather than backtracking through rounding noise; a search
+  that reaches it ends in that polish and a descent probe.
 * Steepest descent can stall while strict progress is still available (linear
   descent valleys flanked by exponentially steep walls); a damped-Newton
   rescue step suppresses the wall components before a stall is terminal.
@@ -27,7 +32,8 @@ which decomposes its family once and computes the functional, gradient,
 metric, residual and the Hessian's base spectra from that on first read; a
 line search returns its accepted trial, so the next iteration reads what
 the search already computed there.  Family sup norms take one stacked SVD
-per shape.
+per shape, and a point's own, read by the Newton scale, the descent probe
+and the divergence test, is taken once.
 
 Termination:
 
@@ -301,7 +307,7 @@ def _newton_direction(point):
     vertices = rep.quiver.vertices
     if not any(rep.dims[v] for v in vertices):
         return None, 0.0
-    scale = max(1.0, _family_sup(point.s))
+    scale = max(1.0, point.s_sup)
     hess = _finite_difference_hessian(point, scale)
     lam = max(1e-10, point.residual)
     gvec = np.concatenate([_hermitian_coords(point.grad[v]) for v in vertices])
@@ -385,6 +391,19 @@ def _line_search(evaluate, point, direction, alpha, deriv, floor=1e-16, strict=F
     return _backtrack(trial, alpha, evaluate(point), deriv, floor, strict)
 
 
+def _value_search(point, direction, alpha, deriv):
+    """The :func:`_line_search` on the functional of the main step and the
+    Newton rescue.  While the residual is below ``NEWTON_SWITCH_TOL`` its
+    floor is the step length at which the predicted decrease ``alpha *
+    |deriv|`` falls to ``4 eps |value|``, the functional's rounding
+    resolution: below it the Armijo test compares rounding noise, so the
+    search gives up and the caller polishes the residual instead."""
+    floor = 1e-16
+    if point.residual < NEWTON_SWITCH_TOL:
+        floor = max(floor, 4 * np.finfo(float).eps * abs(point.value) / -deriv)
+    return _line_search(lambda p: p.value, point, direction, alpha, deriv, floor)
+
+
 def _descent_probe(point):
     """Distinguish a genuine minimum from an escaping valley at a stall.
 
@@ -399,7 +418,7 @@ def _descent_probe(point):
     dir_sup = _family_sup(direction)
     if dir_sup == 0.0:
         return None
-    floor = STATIONARY_STEP * max(1.0, _family_sup(point.s)) / dir_sup
+    floor = STATIONARY_STEP * max(1.0, point.s_sup) / dir_sup
     deriv = -_family_inner(point.grad, point.grad)
     return _line_search(lambda p: p.value, point, direction, np.inf, deriv, floor, strict=True)
 
@@ -506,7 +525,7 @@ def solve_metric(
         else:
             alpha = 1.0 / max(1.0, _family_sup(grad))
 
-        step = _line_search(lambda p: p.value, point, direction, alpha, deriv)
+        step = _value_search(point, direction, alpha, deriv)
         if (step is None or not step[1] < value) and not use_newton:
             # Steepest descent can stall with strict progress still available:
             # near-flat valleys flanked by exponentially steep walls reject
@@ -517,7 +536,7 @@ def solve_metric(
                 newton = _newton_direction(point)
             r_dir, r_deriv = newton
             if r_dir is not None:
-                rescue = _line_search(lambda p: p.value, point, r_dir, 1.0, r_deriv)
+                rescue = _value_search(point, r_dir, 1.0, r_deriv)
                 if rescue is not None and rescue[1] < value:
                     step = rescue
         if step is None or not step[1] < value:
@@ -549,7 +568,7 @@ def solve_metric(
         history.append(HistoryRecord(iteration, point.value, point.residual))
 
         # --- termination checks: escape first, then stationarity
-        s_sup = _family_sup(point.s)
+        s_sup = point.s_sup
         if s_sup > DIVERGENCE_NORM:
             cert = _extract_destabilizer(point.s, rep, eta)
             return finish(SolveStatus.DIVERGED, point, cert)

@@ -487,10 +487,13 @@ class TestSupNormsWhereRead:
     # where they are read, these solves made 486 and 390 sup_norm calls; the
     # digests are the outcomes of that code.  Counted as SVDs, with the
     # residual's, they made 378 and 314 with one SVD per vertex; with one
-    # stacked SVD per shape the three 4x4 vertices of cycle444 share one.
+    # stacked SVD per shape the three 4x4 vertices of cycle444 share one, and
+    # each point takes the sup norm of its displacement once.  cycle444's
+    # digest is that of the value searches' resolution floor, which ends
+    # its endgame earlier.
     CASES = {
-        "cycle444": (126, "903833cbb6b17951760ab64dea293116fbf82f7f7f1b57a20bb8ba757b4ac5ac"),
-        "jordan5": (314, "5da54e669c84cf23ecc4b4bd2a0eec709df15750524d946ec27759e42724f8ea"),
+        "cycle444": (115, "a34e64146ff646b441418040a4458dbdb2bffa6e0a9029c5cd7e6f39965f8e9a"),
+        "jordan5": (255, "5da54e669c84cf23ecc4b4bd2a0eec709df15750524d946ec27759e42724f8ea"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -525,7 +528,8 @@ class TestOneSpectralEvaluationPerPoint:
     @pytest.mark.parametrize("case, groups", [("cycle444", 1), ("kronecker23", 2)])
     def test_one_eigh_per_dimension_and_evaluation(self, monkeypatch, case, groups):
         if case == "cycle444":
-            rep = cycle_case()[0]
+            # a seeded cycle whose endgame polishes the residual
+            rep = random_representation(cycle_case()[0].quiver, {"x": 4, "y": 4, "z": 4}, 0)
             eta = zero_eta(rep)
         else:
             rep, eta = kronecker_case()
@@ -549,6 +553,60 @@ class TestOneSpectralEvaluationPerPoint:
         assert len(polished) == 1
         again = len(points) - len({id(s) for s in points})
         assert again == 0
+
+
+class TestValueSearchResolutionFloor:
+    """While the residual is below ``NEWTON_SWITCH_TOL``, the value searches
+    of the main step and the Newton rescue stop at the step length where the
+    predicted decrease ``alpha * |deriv|`` falls to ``4 eps |value|``."""
+
+    @staticmethod
+    def normal_point():
+        # [[1, 0], [0, 2]] is normal: residual 0 and functional 5 at s = 0,
+        # up to rounding
+        rep = loop_rep(np.diag([1.0, 2.0]))
+        return KingPoint(rep, {"v": 0.0}, {"l0": 1.0}, {"v": np.zeros((2, 2), dtype=complex)})
+
+    def test_unresolvable_decrease_builds_no_trial(self, monkeypatch):
+        point = self.normal_point()
+        assert point.residual < solver.NEWTON_SWITCH_TOL
+        assert point.value == pytest.approx(5.0, rel=1e-15)
+        direction = {"v": np.diag([1.0, -1.0]).astype(complex)}
+        built = []
+        monkeypatch.setattr(solver, "KingPoint", lambda *args: built.append(1) or KingPoint(*args))
+        # alpha * |deriv| = 1e-15 is below 4 eps * 5 = 4.4e-15
+        assert solver._value_search(point, direction, 1.0, -1e-15) is None
+        assert built == []
+        solver._value_search(point, direction, 1.0, -1e-14)
+        assert built
+
+    @pytest.mark.parametrize("residual", ["switch", "above", "below"])
+    def test_floor_is_the_default_from_the_newton_switch_up(self, monkeypatch, residual):
+        point = self.normal_point()
+        point.residual = {  # a KingPoint keeps what it computed in its __dict__
+            "switch": solver.NEWTON_SWITCH_TOL,
+            "above": 1.0,
+            "below": np.nextafter(solver.NEWTON_SWITCH_TOL, 0.0),
+        }[residual]
+        floors = []
+
+        def spied(evaluate, start, direction, alpha, deriv, floor=1e-16, strict=False):
+            floors.append(floor)
+
+        monkeypatch.setattr(solver, "_line_search", spied)
+        solver._value_search(point, {"v": np.eye(2, dtype=complex)}, 1.0, -1e-15)
+        want = 1e-16 if residual != "below" else 4 * np.finfo(float).eps * point.value / 1e-15
+        assert floors == [want]
+
+    def test_cycle_endgame_points_and_hessians(self, monkeypatch):
+        # 85 points and 3 Hessians when every value search backtracks to 1e-16
+        rep = cycle_case()[0]
+        built = []
+        monkeypatch.setattr(solver, "KingPoint", lambda *args: built.append(1) or KingPoint(*args))
+        hessians = count_calls(monkeypatch, "_finite_difference_hessian")
+        out = solve_metric(rep, zero_eta(rep), opts=SolveOptions(max_iters=300))
+        assert out.status is SolveStatus.CONVERGED
+        assert (len(built), len(hessians)) == (66, 2)
 
 
 class TestProgrammingErrorsSurface:
